@@ -47,15 +47,6 @@ const char* SpanName(SpanKind kind) {
   return "?";
 }
 
-bool AnswerBits::Same(const QueryAnswer& a) const {
-  QueryAnswer mine;
-  mine.estimate.value = value;
-  mine.estimate.variance = variance;
-  mine.hard_lb = lb;
-  mine.hard_ub = ub;
-  return SameBits(mine, a);
-}
-
 namespace {
 thread_local RequestTrace tls_last_trace;
 }  // namespace
@@ -111,7 +102,6 @@ QueryAnswer TracedSystem::AnswerImpl(const Query& query,
                  ? AnswerSharded(query, &trace, run)
                  : AnswerSynopsis(*synopsis_, query, &trace, run, nullptr);
     trace.computed = true;
-    trace.diag = answer;
     if (cache_ != nullptr) {
       const int32_t fill = trace.Open(SpanKind::kCacheFill, run);
       cache_->Insert(canonical, query.agg, answer);
@@ -119,7 +109,7 @@ QueryAnswer TracedSystem::AnswerImpl(const Query& query,
     }
   }
   trace.Close(run);
-  trace.answer = AnswerBits::Of(answer);
+  trace.answer = answer;
   tls_last_trace = std::move(trace);
   return answer;
 }
@@ -385,10 +375,10 @@ TraceSummary Summarize(const std::vector<RequestTrace>& requests,
       kernel_per_query.push_back(Us(query_kernel_ns));
       kernel_ns_total += query_kernel_ns;
       kernel_rows += r.kernel_rows;
-      nodes += r.diag.nodes_visited;
-      covered += r.diag.covered_nodes;
-      partials += r.diag.partial_leaves;
-      rows_scanned += static_cast<double>(r.diag.sample_rows_scanned);
+      nodes += r.answer.nodes_visited;
+      covered += r.answer.covered_nodes;
+      partials += r.answer.partial_leaves;
+      rows_scanned += static_cast<double>(r.answer.sample_rows_scanned);
     }
   }
 

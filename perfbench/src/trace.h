@@ -8,7 +8,6 @@
 #define PERFBENCH_TRACE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,18 +47,6 @@ struct Span {
   int64_t Duration() const { return end_ns - start_ns; }
 };
 
-/// The compact bits of an answer the bit-identity check compares.
-struct AnswerBits {
-  double value = 0.0;
-  double variance = 0.0;
-  std::optional<double> lb;
-  std::optional<double> ub;
-  static AnswerBits Of(const pass::QueryAnswer& a) {
-    return {a.estimate.value, a.estimate.variance, a.hard_lb, a.hard_ub};
-  }
-  bool Same(const pass::QueryAnswer& a) const;
-};
-
 /// Everything recorded for one traced operation.
 struct RequestTrace {
   uint64_t id = 0;
@@ -74,8 +61,7 @@ struct RequestTrace {
   uint64_t kernel_rows = 0;     // sample rows the kernel spans scanned
   uint64_t kernel_matched = 0;  // rows they matched (keeps the scans live)
   uint32_t query_index = 0;
-  AnswerBits answer;
-  pass::QueryAnswer diag;  // diagnostics of a computed answer
+  pass::QueryAnswer answer;  // as returned, for the bit-identity check
 
   int32_t Open(SpanKind kind, int32_t parent) {
     Span s;

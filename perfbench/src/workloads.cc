@@ -258,8 +258,12 @@ class Checker {
     if (!first_[index].exchange(true)) verdicts_[index] = v;
     judged_.fetch_add(1, std::memory_order_relaxed);
     if (v.violation) {
+      // Only the log examples need the lock; scores come from verdicts_.
+      CheckTally one;
+      one.Add((*pool_)[index], answer, truths_[index]);
       std::lock_guard<std::mutex> lock(mu_);
-      tally_.Add((*pool_)[index], answer, truths_[index]);
+      ++violations_;
+      if (examples_.size() < 3) examples_.push_back(one.examples.front());
     }
     return !v.violation;
   }
@@ -267,8 +271,13 @@ class Checker {
   /// Relative errors and coverage of the checked queries answered so far;
   /// violations of every judged answer.
   CheckTally Tally() const {
-    CheckTally t = tally_;
+    CheckTally t;
     t.checked = judged_.load();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      t.violations = violations_;
+      t.examples = examples_;
+    }
     for (size_t i = 0; i < verdicts_.size(); ++i) {
       if (!first_[i].load() || !verdicts_[i].scored) continue;
       t.rel_errs.push_back(verdicts_[i].rel_err);
@@ -283,8 +292,9 @@ class Checker {
   std::vector<std::atomic<bool>> first_;
   std::vector<Verdict> verdicts_;
   std::atomic<uint64_t> judged_{0};
-  std::mutex mu_;
-  CheckTally tally_;  // violations only
+  mutable std::mutex mu_;
+  uint64_t violations_ = 0;           // guarded by mu_
+  std::vector<std::string> examples_;  // guarded by mu_
 };
 
 /// Latencies are kept as nanoseconds in 32 bits (saturating at ~4.3 s):
@@ -549,6 +559,16 @@ std::string CacheLine(const char* when, const pass::CacheStats& s) {
              static_cast<unsigned long long>(s.invalidations));
 }
 
+void WriteSpanFile(const Options& opts,
+                   const std::vector<RequestTrace>& requests,
+                   Report* report) {
+  report->Line(WriteSpans(opts.span_path, requests, kSpanFileRequests)
+                   ? "spans of the first " +
+                         std::to_string(kSpanFileRequests) +
+                         " traced operations: " + opts.span_path
+                   : "could not write spans to " + opts.span_path);
+}
+
 void AddTraceSummary(const TraceSummary& summary, Report* report) {
   for (const Metric& m : summary.metrics) report->metrics.push_back(m);
   for (const std::string& line : summary.lines) report->Line(line);
@@ -716,7 +736,7 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
                         traced.Uncached().Answer(window_query(r.query_index)))
                .first;
     }
-    if (!r.answer.Same(it->second)) ++mismatches;
+    if (!SameBits(r.answer, it->second)) ++mismatches;
   }
   report.attempted += traced_window.issued;
   report.failed += traced_window.failed.load() + mismatches;
@@ -755,12 +775,7 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
                     "%s, shard+core %.1f%%",
                     ok ? "yes" : "no", 100.0 * share));
   }
-  if (!WriteSpans(opts.span_path, requests, kSpanFileRequests)) {
-    report.Line("could not write spans to " + opts.span_path);
-  } else {
-    report.Line("spans of the first " + std::to_string(kSpanFileRequests) +
-                " traced operations: " + opts.span_path);
-  }
+  WriteSpanFile(opts, requests, &report);
   return report;
 }
 
@@ -873,10 +888,7 @@ Report RunScanHeavy(const Options& opts) {
                   "kernel %.1f%% at sample rate %.3f",
                   ok ? "yes" : "no", 100.0 * summary.Share("kernel"),
                   config.sample_rate));
-  if (WriteSpans(opts.span_path, requests, kSpanFileRequests)) {
-    report.Line("spans of the first " + std::to_string(kSpanFileRequests) +
-                " traced operations: " + opts.span_path);
-  }
+  WriteSpanFile(opts, requests, &report);
   return report;
 }
 
@@ -1025,7 +1037,7 @@ Report RunIngestMixed(const Options& opts) {
           t.start_ns = t0;
           t.end_ns = t1;
           const int64_t r0 = NowNs();
-          if (!t.answer.Same(traced->Uncached().Answer(pool[index]))) {
+          if (!SameBits(t.answer, traced->Uncached().Answer(pool[index]))) {
             ++*mismatches;
           }
           paused += NowNs() - r0;
@@ -1108,10 +1120,7 @@ Report RunIngestMixed(const Options& opts) {
                   "write time): %s, %.1f%%",
                   summary.write_share > 0.0 ? "yes" : "no",
                   100.0 * summary.write_share));
-  if (WriteSpans(opts.span_path, requests, kSpanFileRequests)) {
-    report.Line("spans of the first " + std::to_string(kSpanFileRequests) +
-                " traced operations: " + opts.span_path);
-  }
+  WriteSpanFile(opts, requests, &report);
   return report;
 }
 
