@@ -104,15 +104,16 @@ struct HostCpu {
 
 /// Timing metrics are taken over the samples (sub-windows, or setup
 /// builds) in which the host stole the least CPU: the median of `values`
-/// over the entries whose `steal` is at most the median steal, which keeps
-/// at least half of them and all of them on a quiet host. The rule looks
-/// only at steal, never at the values, and every sample is printed.
+/// over the entries whose `steal` is at most the lower quartile of the
+/// steal shares, which keeps at least a quarter of them and all of them on
+/// a quiet host. The rule looks only at steal, never at the values, and
+/// every sample is printed.
 double MedianOfLeastStolen(const std::vector<double>& values,
                            const std::vector<double>& steal) {
   if (values.empty()) return 0.0;
   std::vector<double> sorted = steal;
   std::sort(sorted.begin(), sorted.end());
-  const double limit = sorted[(sorted.size() - 1) / 2];
+  const double limit = sorted[(sorted.size() - 1) / 4];
   std::vector<double> kept;
   for (size_t i = 0; i < values.size(); ++i) {
     if (steal[i] <= limit) kept.push_back(values[i]);
