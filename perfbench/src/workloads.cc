@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <functional>
@@ -47,8 +48,15 @@ constexpr int kScanSetupReps = 4;  // scan_heavy's build takes ~1 s
 constexpr size_t kScanRows = 3'000'000;
 constexpr size_t kRepeatPool = 16'384;
 constexpr double kZipfExponent = 1.0;
-constexpr size_t kOutstanding = 4;  // closed loop: submissions in flight
-constexpr size_t kSubWindows = 15;  // timing metrics are medians over these
+// Closed loops: submissions in flight. A fan-out query puts four shard
+// tasks on the pool, so two in flight keep its threads busy without
+// stacking more runnable threads than cores.
+constexpr size_t kRepeatOutstanding = 4;
+constexpr size_t kFanoutOutstanding = 2;
+// Timing metrics are medians over sub-windows of this length in which the
+// host stole at most kQuietSteal of the CPU (see MedianOfQuietest).
+constexpr double kSubWindowSeconds = 0.25;
+constexpr double kQuietSteal = 0.01;
 constexpr size_t kServeChecked = 4'096;
 constexpr size_t kFanoutWarmQueries = 20'000;
 constexpr double kFanoutQueriesPerSecond = 80'000;
@@ -104,16 +112,17 @@ struct HostCpu {
 
 /// Timing metrics are taken over the samples (sub-windows, or setup
 /// builds) in which the host stole the least CPU: the median of `values`
-/// over the entries whose `steal` is at most the lower quartile of the
-/// steal shares, which keeps at least a quarter of them and all of them on
-/// a quiet host. The rule looks only at steal, never at the values, and
-/// every sample is printed.
-double MedianOfLeastStolen(const std::vector<double>& values,
-                           const std::vector<double>& steal) {
+/// over the entries whose `steal` is at most kQuietSteal, or at most the
+/// lowest tenth of the steal shares when fewer are that quiet. On a quiet
+/// host that keeps every sample. The rule looks only at steal, never at
+/// the values, and every sample is printed.
+double MedianOfQuietest(const std::vector<double>& values,
+                        const std::vector<double>& steal) {
   if (values.empty()) return 0.0;
   std::vector<double> sorted = steal;
   std::sort(sorted.begin(), sorted.end());
-  const double limit = sorted[(sorted.size() - 1) / 4];
+  const double limit =
+      std::max(kQuietSteal, sorted[(sorted.size() - 1) / 10]);
   std::vector<double> kept;
   for (size_t i = 0; i < values.size(); ++i) {
     if (steal[i] <= limit) kept.push_back(values[i]);
@@ -179,7 +188,7 @@ class CoreRotator {
 struct SetupTimes {
   std::vector<double> seconds;
   std::vector<double> steal;
-  double Median() const { return MedianOfLeastStolen(seconds, steal); }
+  double Median() const { return MedianOfQuietest(seconds, steal); }
   std::string Detail() const {
     std::string out = "setup builds (s / host steal):";
     for (size_t i = 0; i < seconds.size(); ++i) {
@@ -313,8 +322,8 @@ std::vector<double> ToUs(const std::vector<uint32_t>& ns) {
 }
 
 /// Where the sub-windows of a measured window begin. The window is cut
-/// into kSubWindows equal spans of time; the timing metrics come from the
-/// sub-windows the host disturbed least (MedianOfLeastStolen), so a burst
+/// into spans of kSubWindowSeconds; the timing metrics come from the
+/// sub-windows the host disturbed least (MedianOfQuietest), so a burst
 /// of noise from the rest of the host moves a few sub-windows, not the
 /// result.
 class Timeline {
@@ -327,14 +336,16 @@ class Timeline {
   };
 
   void Start(int64_t now, double seconds) {
-    span_ns_ = static_cast<int64_t>(seconds * 1e9) / kSubWindows;
+    count_ = std::max<size_t>(1, std::lround(seconds / kSubWindowSeconds));
+    span_ns_ = static_cast<int64_t>(seconds * 1e9) /
+               static_cast<int64_t>(count_);
     marks_.assign(1, At(0, 0, now));
   }
   /// Called before an operation is issued, with the counts so far.
   void Observe(uint64_t ops, uint64_t queries, int64_t now) {
     const int64_t next = marks_.front().ns +
                          static_cast<int64_t>(marks_.size()) * span_ns_;
-    if (marks_.size() < kSubWindows && now >= next) {
+    if (marks_.size() < count_ && now >= next) {
       marks_.push_back(At(ops, queries, now));
     }
   }
@@ -351,6 +362,7 @@ class Timeline {
     return Mark{ops, queries, now, HostCpu::Now()};
   }
 
+  size_t count_ = 1;
   int64_t span_ns_ = 0;
   std::vector<Mark> marks_;
 };
@@ -402,7 +414,7 @@ class QueryStream {
   std::vector<pass::Interval> bounds_;
 };
 
-/// Closed loop: one submitter keeps kOutstanding queries in flight on
+/// Closed loop: one submitter keeps `in_flight` queries submitted to
 /// `scheduler`, drawing query indices from `next`, until `seconds` elapse
 /// or `window->latency_ns` is full, then waits for the stragglers. `done`
 /// runs on the worker that answered, right after the answer.
@@ -412,8 +424,8 @@ using DoneFn = std::function<void(uint64_t seq, uint32_t index,
 
 using QueryAt = std::function<Query(uint32_t index)>;
 
-void ClosedLoop(pass::QueryScheduler* scheduler, const AqpSystem& system,
-                const QueryAt& query_at,
+void ClosedLoop(pass::QueryScheduler* scheduler, size_t in_flight,
+                const AqpSystem& system, const QueryAt& query_at,
                 const std::function<uint32_t()>& next, double seconds,
                 Window* window, const DoneFn& done) {
   std::mutex mu;
@@ -428,7 +440,7 @@ void ClosedLoop(pass::QueryScheduler* scheduler, const AqpSystem& system,
     window->timeline.Observe(seq, seq, now);
     {
       std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return outstanding < kOutstanding; });
+      cv.wait(lock, [&] { return outstanding < in_flight; });
       ++outstanding;
     }
     const uint32_t index = next();
@@ -479,7 +491,7 @@ void AddCheckLines(const CheckTally& tally, Report* report) {
 
 /// The timing metrics of one window: per sub-window, the query p50, the
 /// query p99 and the operations per second, each reduced with
-/// MedianOfLeastStolen.
+/// MedianOfQuietest.
 struct Timing {
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -511,9 +523,9 @@ Timing TimeWindow(const std::vector<uint32_t>& query_ns,
     t.detail += Fmt(" %.3f/%.3f/%.0f/%.1f%%", p50.back(), p99.back(),
                     rate.back(), 100.0 * steal.back());
   }
-  t.p50_us = MedianOfLeastStolen(p50, steal);
-  t.p99_us = MedianOfLeastStolen(p99, steal);
-  t.ops_per_s = MedianOfLeastStolen(rate, steal);
+  t.p50_us = MedianOfQuietest(p50, steal);
+  t.p99_us = MedianOfQuietest(p99, steal);
+  t.ops_per_s = MedianOfQuietest(rate, steal);
   t.queries = marks.back().queries;
   t.ops = marks.back().ops;
   return t;
@@ -583,6 +595,7 @@ struct ServeSpec {
   std::string engine;
   size_t num_shards = 1;
   bool zipf = false;  // Zipf repeats over a pool, else a never-repeating stream
+  size_t outstanding = kRepeatOutstanding;  // closed-loop submissions
 };
 
 Report RunServe(const Options& opts, const ServeSpec& spec) {
@@ -643,7 +656,7 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
     Window warm(spec.zipf ? kMaxQueriesPerSecond : warm_count);
     const auto next = spec.zipf ? ZipfStream(&zipf, opts.seed + 17)
                                 : SequentialStream(0, warm_count);
-    ClosedLoop(&scheduler, *engine, warm_query, next,
+    ClosedLoop(&scheduler, spec.outstanding, *engine, warm_query, next,
                spec.zipf ? std::min(1.0, opts.seconds / 5) : 60.0, &warm,
                nullptr);
   }
@@ -658,7 +671,8 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
       spec.zipf ? ZipfStream(&zipf, opts.seed + 29)
                 : SequentialStream(0, static_cast<uint32_t>(stream_size));
   std::atomic<uint64_t> violations{0};
-  ClosedLoop(&scheduler, *engine, window_query, next, window_s, &window,
+  ClosedLoop(&scheduler, spec.outstanding, *engine, window_query, next,
+             window_s, &window,
              [&](uint64_t, uint32_t index, pass::ScheduledAnswer& a, int64_t,
                  int64_t) {
                if (a.status.ok() && checks.Checked(index) &&
@@ -684,7 +698,7 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
                   "threads %zu",
                   static_cast<unsigned long long>(window.issued),
                   window.timeline.Seconds(), scheduler.num_threads(),
-                  kOutstanding,
+                  spec.outstanding,
                   spec.num_shards > 1
                       ? pass::ParallelShardExecutor::Shared().num_threads()
                       : 0));
@@ -709,8 +723,8 @@ Report RunServe(const Options& opts, const ServeSpec& spec) {
                                    static_cast<uint32_t>(stream_size -
                                                          window.issued));
   const pass::CacheStats traced_start = cache.Stats();
-  ClosedLoop(&scheduler, traced, window_query, traced_next, window_s,
-             &traced_window,
+  ClosedLoop(&scheduler, spec.outstanding, traced, window_query, traced_next,
+             window_s, &traced_window,
              [&](uint64_t seq, uint32_t index, pass::ScheduledAnswer& a,
                  int64_t submitted, int64_t completed) {
                RequestTrace t = TakeLastTrace();
@@ -1135,10 +1149,10 @@ const std::vector<std::string>& WorkloadNames() {
 
 Report RunWorkload(const Options& opts) {
   if (opts.workload == "serve_repeat") {
-    return RunServe(opts, {"pass", 1, true});
+    return RunServe(opts, {"pass", 1, true, kRepeatOutstanding});
   }
   if (opts.workload == "serve_fanout") {
-    return RunServe(opts, {"sharded_pass", 4, false});
+    return RunServe(opts, {"sharded_pass", 4, false, kFanoutOutstanding});
   }
   if (opts.workload == "scan_heavy") return RunScanHeavy(opts);
   return RunIngestMixed(opts);
