@@ -21,8 +21,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/query_scheduler.h"
-#include "jit/fixed_kernels.h"
-#include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 #include "stats/quantile.h"
 
@@ -680,7 +678,7 @@ int main() {
                            })));
 
   // SIMD kernel sweep: the branchy scalar reference vs the branchless
-  // kernel vs the kernel with active-dim pruning (only the last dim
+  // generic kernel vs that kernel with active-dim pruning (only the last dim
   // contested — the shape the estimator produces for a partial leaf whose
   // box the query covers on every other dimension; last rather than first
   // so the scalar loop's short-circuit order doesn't decide the race, and
@@ -712,8 +710,8 @@ int main() {
         const ScanStats want = ScanColumnsScalarRef(agg.data(), kSweepRows,
                                                     all_dims.data(), d);
         for (const ScanStats got :
-             {ScanColumns(agg.data(), kSweepRows, all_dims.data(), d),
-              ScanColumns(agg.data(), kSweepRows, &contested, 1)}) {
+             {ScanColumnsGeneric(agg.data(), kSweepRows, all_dims.data(), d),
+              ScanColumnsGeneric(agg.data(), kSweepRows, &contested, 1)}) {
           PASS_CHECK_MSG(got.matched == want.matched &&
                              got.sum == want.sum && got.sum_sq == want.sum_sq,
                          "simd sweep kernels diverged");
@@ -731,11 +729,12 @@ int main() {
              }},
             {"simd",
              [&] {
-               (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
+               (void)ScanColumnsGeneric(agg.data(), kSweepRows,
+                                        all_dims.data(), d);
              }},
             {"pruned",
              [&] {
-               (void)ScanColumns(agg.data(), kSweepRows, &contested, 1);
+               (void)ScanColumnsGeneric(agg.data(), kSweepRows, &contested, 1);
              }},
         };
         for (const Variant& v : variants) {
@@ -763,36 +762,24 @@ int main() {
     simd_table.Print();
   }
 
-  // Specialization sweep: the generic runtime-dim kernel vs the two
-  // specialized tiers behind the KernelCache — the compile-time-fixed
-  // ScanColumnsFixed<NDims> (the default dispatch, full kernel ISA) and
-  // the copy-and-patch jit stencil (prefer_stencils opt-in, baseline ISA
-  // by the position-freedom constraint). Only the last dim is contested
-  // (same shape as the simd sweep) and every tier is checked bit-identical
-  // before timing. CI asserts fixed rows/sec >= generic at d >= 2, where
-  // the per-block descriptor loop the specialization deletes is widest;
-  // the jit rows track the stencil tier's measured ISA gap (the reason it
-  // is opt-in — see jit/jit_config.h); the compile_{cold,cached} pair
-  // prices one stencil patch vs a cache hit. Jit rows (and the compile
-  // pair) appear only when the stencil tier passed its build audit +
-  // runtime self-test on this target; the fixed tier requires just
-  // PASS_JIT=ON.
+  // Fixed-dim sweep: the generic runtime-dim kernel vs the ScanColumns
+  // entry, which serves these dim counts with its compile-time fixed-dim
+  // bodies. Only the last dim is contested (same shape as the simd sweep)
+  // and both are checked bit-identical before timing. CI asserts fixed
+  // rows/sec >= generic at d >= 2, where the per-block dim loop the fixed
+  // bodies remove is widest.
   {
     constexpr size_t kSweepRows = 8192;  // unscaled: in-run comparison only
-    Rng jit_rng(4243);
-    TablePrinter jit_table({"sweep", "p50_ms/op", "Mrows/s"});
-    const bool stencils = KernelCache::StencilTierAvailable();
-    JitConfig jit_config;
-    jit_config.prefer_stencils = true;  // jit rows time the stencil tier
-    KernelCache jit_cache(jit_config);
+    Rng fixed_rng(4243);
+    TablePrinter fixed_table({"sweep", "p50_ms/op", "Mrows/s"});
     for (const size_t d : {size_t{1}, size_t{2}, size_t{4}}) {
       std::vector<std::vector<double>> cols(d,
                                             std::vector<double>(kSweepRows));
       std::vector<double> agg(kSweepRows);
       for (auto& col : cols) {
-        for (double& v : col) v = jit_rng.UniformDouble();
+        for (double& v : col) v = fixed_rng.UniformDouble();
       }
-      for (double& a : agg) a = jit_rng.LogNormal(1.0, 0.6);
+      for (double& a : agg) a = fixed_rng.LogNormal(1.0, 0.6);
       for (const int sel : {1, 10, 90}) {
         std::vector<ScanDim> all_dims(d);
         for (size_t k = 0; k + 1 < d; ++k) {
@@ -802,49 +789,31 @@ int main() {
             ScanDim{cols[d - 1].data(), 0.0, static_cast<double>(sel) / 100.0};
 
         const ScanStats want =
+            ScanColumnsGeneric(agg.data(), kSweepRows, all_dims.data(), d);
+        const ScanStats got =
             ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
-        const FixedKernelFn fixed_fn = FixedScanKernel(d, AggShape::kFull);
-        if (fixed_fn != nullptr) {
-          ScanStats got;
-          fixed_fn(agg.data(), kSweepRows, all_dims.data(), &got);
-          PASS_CHECK_MSG(got.matched == want.matched && got.sum == want.sum &&
-                             got.min == want.min && got.max == want.max,
-                         "fixed-tier sweep kernel diverged");
-        }
-        if (stencils) {
-          const ScanStats got = jit_cache.Scan(agg.data(), kSweepRows,
-                                               all_dims.data(), d,
-                                               AggShape::kFull);
-          PASS_CHECK_MSG(got.matched == want.matched && got.sum == want.sum &&
-                             got.min == want.min && got.max == want.max,
-                         "jit-tier sweep kernel diverged");
-        }
+        PASS_CHECK_MSG(got.matched == want.matched && got.sum == want.sum &&
+                           got.min == want.min && got.max == want.max,
+                       "fixed-dim sweep kernel diverged");
 
         struct Variant {
           const char* name;
           std::function<void()> op;
         };
-        std::vector<Variant> variants;
-        variants.push_back({"generic", [&] {
-                              (void)ScanColumns(agg.data(), kSweepRows,
-                                                all_dims.data(), d);
-                            }});
-        if (fixed_fn != nullptr) {
-          variants.push_back({"fixed", [&, fixed_fn] {
-                                ScanStats out;
-                                fixed_fn(agg.data(), kSweepRows,
-                                         all_dims.data(), &out);
-                              }});
-        }
-        if (stencils) {
-          // Warmed above: times the hit path + patched code, not compiles.
-          variants.push_back({"jit", [&] {
-                                (void)jit_cache.Scan(agg.data(), kSweepRows,
-                                                     all_dims.data(), d,
-                                                     AggShape::kFull);
-                              }});
-        }
+        const Variant variants[] = {
+            {"generic",
+             [&] {
+               (void)ScanColumnsGeneric(agg.data(), kSweepRows,
+                                        all_dims.data(), d);
+             }},
+            {"fixed",
+             [&] {
+               (void)ScanColumns(agg.data(), kSweepRows, all_dims.data(), d);
+             }},
+        };
         for (const Variant& v : variants) {
+          // Row names keep the jit_sweep_ prefix so the perf trajectory
+          // stays comparable across releases.
           char name[48];
           std::snprintf(name, sizeof(name), "jit_sweep_%s_d%zu_s%d", v.name,
                         d, sel);
@@ -857,50 +826,15 @@ int main() {
               row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
           row.rows_per_sec =
               row.ops_per_sec * static_cast<double>(kSweepRows);
-          jit_table.AddRow({row.method,
-                            FormatDouble(row.p50_latency_ms, 4),
-                            FormatDouble(row.rows_per_sec / 1e6, 1)});
+          fixed_table.AddRow({row.method,
+                              FormatDouble(row.p50_latency_ms, 4),
+                              FormatDouble(row.rows_per_sec / 1e6, 1)});
           rows.push_back(row);
         }
       }
     }
-    if (stencils) {
-      // Compile cost: every cold op patches a never-seen predicate (the
-      // bound bits are salted per call, so each is a fresh key); the
-      // cached op replays one key forever. Tiny n keeps the scan itself
-      // out of the measurement.
-      JitConfig cold_config;
-      cold_config.max_cached_kernels = 4096;
-      cold_config.prefer_stencils = true;
-      KernelCache cold_cache(cold_config);
-      std::vector<double> tiny_agg(8, 1.0);
-      std::vector<double> tiny_col(8, 0.5);
-      uint64_t salt = 0;
-      for (const bool cold : {true, false}) {
-        MethodRow row;
-        row.method = cold ? "jit_sweep_compile_cold"
-                          : "jit_sweep_compile_cached";
-        const std::vector<double> per_op_ms =
-            TimeKernel(30, 50, [&cold_cache, &tiny_agg, &tiny_col, &salt,
-                                cold] {
-              const double hi =
-                  cold ? 1.0 + 1e-9 * static_cast<double>(++salt) : 0.75;
-              const ScanDim dim{tiny_col.data(), 0.0, hi};
-              (void)cold_cache.Scan(tiny_agg.data(), tiny_agg.size(), &dim, 1,
-                                    AggShape::kFull);
-            });
-        row.p50_latency_ms = Quantile(per_op_ms, 0.5);
-        row.p95_latency_ms = Quantile(per_op_ms, 0.95);
-        row.ops_per_sec =
-            row.p50_latency_ms > 0.0 ? 1e3 / row.p50_latency_ms : 0.0;
-        jit_table.AddRow({row.method, FormatDouble(row.p50_latency_ms, 4),
-                          "-"});
-        rows.push_back(row);
-      }
-    }
-    std::printf("\nspecialization sweep (stencil tier %s):\n",
-                stencils ? "on" : "off");
-    jit_table.Print();
+    std::printf("\nfixed-dim sweep:\n");
+    fixed_table.Print();
   }
 
   const Dataset build_data = MakeTaxiDatetime(Scaled(50'000), 78);

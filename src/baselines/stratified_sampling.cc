@@ -71,8 +71,7 @@ QueryAnswer StratifiedSamplingSystem::AnswerImpl(
   uint64_t touched_rows = 0;
   for (const Stratum& s : strata_) {
     if (!query.predicate.Intersects(s.bounds)) continue;
-    Hit hit{&s,
-            s.sample.Scan(query.predicate, options_.kernel_cache.get())};
+    Hit hit{&s, s.sample.Scan(query.predicate)};
     out.sample_rows_scanned += s.sample.size();
     out.matched_sample_rows += hit.scan.matched;
     touched_rows += s.rows;

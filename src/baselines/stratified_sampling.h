@@ -28,9 +28,6 @@ class StratifiedSamplingSystem final : public AqpSystem {
   SystemCosts Costs() const override;
 
   size_t NumStrata() const { return strata_.size(); }
-  const KernelCache* ScanKernelCache() const override {
-    return options_.kernel_cache.get();
-  }
 
  protected:
   /// Answers in full; this system has no anytime path, so the budget in

@@ -38,8 +38,7 @@ QueryAnswer UniformSamplingSystem::AnswerImpl(
   QueryAnswer out;
   out.population_rows = population_rows_;
   out.sample_rows_scanned = sample_.size();
-  const StratifiedSample::ScanResult scan =
-      sample_.Scan(query.predicate, options_.kernel_cache.get());
+  const StratifiedSample::ScanResult scan = sample_.Scan(query.predicate);
   out.matched_sample_rows = scan.matched;
   const double n_pop = static_cast<double>(population_rows_);
   const double k_samp = static_cast<double>(sample_.size());

@@ -26,9 +26,6 @@ class UniformSamplingSystem final : public AqpSystem {
 
   size_t sample_size() const { return sample_.size(); }
   void set_name(std::string name) { name_ = std::move(name); }
-  const KernelCache* ScanKernelCache() const override {
-    return options_.kernel_cache.get();
-  }
 
  protected:
   /// Answers in full; this system has no anytime path, so the budget in

@@ -20,14 +20,8 @@ struct CacheConfig {
   /// (FIFO) eviction keeps the read path under a shared lock.
   size_t max_exact_entries = 4096;
 
-  /// Capacity of each covered-node tier (per-node AggregateStats, one
-  /// tier per member tree of the engine).
-  size_t max_node_entries = 1 << 16;
-
   /// Time-to-live of exact-tier entries; zero means entries live until
-  /// evicted by capacity or flushed by a dataset-version change. The
-  /// covered-node tier has no TTL: node aggregates are exact for a given
-  /// dataset version and only invalidate with it.
+  /// evicted by capacity or flushed by a dataset-version change.
   std::chrono::milliseconds ttl{0};
 };
 

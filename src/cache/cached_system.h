@@ -12,9 +12,8 @@ namespace pass {
 
 /// The decorator the registry wraps an engine in when EngineConfig::cache
 /// is enabled: a transparent AqpSystem that serves repeat predicates from
-/// the exact-match tier, routes the inner engine's covered-node reads
-/// through per-tree tiers, and flushes everything when the dataset-version
-/// stamp moves.
+/// the exact-match tier and flushes it when the dataset-version stamp
+/// moves.
 ///
 /// Transparency is the contract: Name/Costs/SupportsBudget forward
 /// unchanged, and every answer is bit-identical to the bare engine's at
@@ -25,8 +24,7 @@ namespace pass {
 /// budget and seed, which the key deliberately omits).
 ///
 /// Lifetime: the wrapped dataset must outlive this system (same rule as
-/// the registry's bare engines); the cache outlives the inner engine by
-/// member order, so tier pointers held by inner synopses stay valid.
+/// the registry's bare engines).
 ///
 /// Thread safety: this decorator holds no lock of its own, deliberately
 /// — all shared mutable state lives in cache_, whose every entry point
@@ -44,12 +42,6 @@ class CachedSystem final : public AqpSystem {
   std::string Name() const override { return inner_->Name(); }
   SystemCosts Costs() const override { return inner_->Costs(); }
   const SemanticAnswerCache* AnswerCache() const override { return &cache_; }
-  const KernelCache* ScanKernelCache() const override {
-    return inner_->ScanKernelCache();
-  }
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    inner_->AttachCoveredNodeCache(host);
-  }
 
   SemanticAnswerCache& cache() const { return cache_; }
   const AqpSystem& inner() const { return *inner_; }
@@ -60,13 +52,11 @@ class CachedSystem final : public AqpSystem {
   MultiAnswer AnswerMultiImpl(const Rect& predicate,
                               const AnswerOptions& options) const override;
   /// Sessions refine under explicit budgets, so they bypass the exact
-  /// tier; their covered-node reads still flow through the tiers.
+  /// tier.
   std::unique_ptr<EstimationSession> StartSessionImpl(
       const Rect& predicate, uint64_t seed) const override;
 
  private:
-  // Declared before inner_: the inner engine's tier pointers must die
-  // before the cache that owns the tiers.
   mutable SemanticAnswerCache cache_;
   std::unique_ptr<AqpSystem> inner_;
   const Dataset* data_;

@@ -4,43 +4,6 @@
 
 namespace pass {
 
-AggregateStats CoveredNodeTier::Get(const PartitionTree& tree, int32_t node) {
-  {
-    ReaderLock lock(mu_);
-    auto it = map_.find(node);
-    if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Read-through: the tree is the ground truth, and the cached copy is the
-  // same bits, so answers never depend on whether this was a hit.
-  const AggregateStats stats = tree.node(node).stats;
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (max_entries_ == 0) return stats;
-  WriterLock lock(mu_);
-  if (map_.emplace(node, stats).second) {
-    fifo_.push_back(node);
-    while (map_.size() > max_entries_) {
-      map_.erase(fifo_.front());
-      fifo_.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return stats;
-}
-
-void CoveredNodeTier::Flush() {
-  WriterLock lock(mu_);
-  map_.clear();
-  fifo_.clear();
-}
-
-size_t CoveredNodeTier::entries() const {
-  ReaderLock lock(mu_);
-  return map_.size();
-}
-
 SemanticAnswerCache::SemanticAnswerCache(const CacheConfig& config)
     : config_(config) {}
 
@@ -144,15 +107,6 @@ void SemanticAnswerCache::FlushLocked() {
   multi_.clear();
   single_fifo_.clear();
   multi_fifo_.clear();
-  for (const auto& tier : tiers_) tier->Flush();
-}
-
-CoveredNodeSource* SemanticAnswerCache::MakeTier() {
-  auto tier = std::make_unique<CoveredNodeTier>(config_.max_node_entries);
-  CoveredNodeTier* out = tier.get();
-  WriterLock lock(mu_);
-  tiers_.push_back(std::move(tier));
-  return out;
 }
 
 CacheStats SemanticAnswerCache::Stats() const {
@@ -163,12 +117,6 @@ CacheStats SemanticAnswerCache::Stats() const {
   out.invalidations = invalidations_.load(std::memory_order_relaxed);
   ReaderLock lock(mu_);
   out.exact_entries = single_.size() + multi_.size();
-  for (const auto& tier : tiers_) {
-    out.node_hits += tier->hits();
-    out.node_misses += tier->misses();
-    out.evictions += tier->evictions();
-    out.node_entries += tier->entries();
-  }
   return out;
 }
 

@@ -12,7 +12,6 @@
 
 namespace pass {
 
-class CoveredCacheHost;
 class KernelCache;
 class SemanticAnswerCache;
 
@@ -127,18 +126,9 @@ class AqpSystem {
   /// overrides this.
   virtual const SemanticAnswerCache* AnswerCache() const { return nullptr; }
 
-  /// The per-query specialized-kernel cache serving this system's scans
-  /// (jit/kernel_cache.h), or nullptr when every scan runs the generic
-  /// kernel. The scheduler snapshots its tier counters onto
-  /// ScheduledAnswer so callers can assert which kernel tier engaged.
+  /// Always nullptr: a compatibility no-op (see jit/kernel_cache.h). No
+  /// library system overrides it.
   virtual const KernelCache* ScanKernelCache() const { return nullptr; }
-
-  /// Offers this system a covered-node aggregate cache (see
-  /// core/covered_source.h). Tree-backed systems request one tier per
-  /// member tree from the host and route their covered-aggregate reads
-  /// through it; everything else ignores the offer. The host must outlive
-  /// this system.
-  virtual void AttachCoveredNodeCache(CoveredCacheHost* host) { (void)host; }
 
   virtual std::string Name() const = 0;
   virtual SystemCosts Costs() const = 0;

@@ -8,7 +8,6 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
-#include "core/covered_source.h"
 #include "core/hard_bounds.h"
 
 namespace pass {
@@ -106,17 +105,7 @@ std::vector<char> SelectUnits(const std::vector<WorkUnit>& units,
 /// aggregate merging, and one not-yet-scanned PartialScan record per
 /// partial leaf. Shared by the one-shot executor and the resumable
 /// session so both assemble answers from identical state.
-/// One covered-node aggregate read, through the options' source when one
-/// is attached. The source contract (bit-identical stats) is what keeps
-/// the two branches interchangeable.
-AggregateStats CoveredStatsFor(const PartitionTree& tree, int32_t id,
-                               const EstimatorOptions& opts) {
-  return opts.covered_source ? opts.covered_source->Get(tree, id)
-                             : tree.node(id).stats;
-}
-
-FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan,
-                              const EstimatorOptions& opts) {
+FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan) {
   FrontierScan fs;
   fs.frontier = std::move(plan.frontier);
 
@@ -143,10 +132,10 @@ FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan,
   // Exact side: merge covered aggregates; 0-variance nodes contribute their
   // constant value with their full cardinality (the paper's rule).
   for (const int32_t id : fs.frontier.covered) {
-    fs.covered_stats.Merge(CoveredStatsFor(tree, id, opts));
+    fs.covered_stats.Merge(tree.node(id).stats);
   }
   for (const int32_t id : fs.frontier.zero_var) {
-    fs.covered_stats.Merge(CoveredStatsFor(tree, id, opts));
+    fs.covered_stats.Merge(tree.node(id).stats);
   }
 
   fs.partials.reserve(fs.frontier.partial.size());
@@ -174,11 +163,10 @@ FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan,
 FrontierScan ExecutePlan(const PartitionTree& tree,
                          const std::vector<StratifiedSample>& samples,
                          const Rect& predicate, WorkPlan plan,
-                         const EstimatorOptions& opts,
                          const WorkBudget& budget, uint64_t seed) {
   const std::vector<char> execute =
       SelectUnits(plan.units, SpendOrder(plan, seed), budget);
-  FrontierScan fs = InitFrontierScan(tree, std::move(plan), opts);
+  FrontierScan fs = InitFrontierScan(tree, std::move(plan));
   QueryAnswer& out = fs.base;
 
   // Scan the admitted stratified samples once, in frontier order — the
@@ -202,8 +190,7 @@ FrontierScan ExecutePlan(const PartitionTree& tree,
       // Active-dim pruning: the leaf's tight bounding box proves dims the
       // query fully covers, so the kernel tests contested dims only.
       // Bit-identical to the unpruned scan (see StratifiedSample::Scan).
-      p.scan = sample.Scan(predicate, n.data_bounds,
-                           opts.kernel_cache.get());
+      p.scan = sample.Scan(predicate, n.data_bounds);
       out.sample_rows_scanned += sample.size();
       out.matched_sample_rows += p.scan.matched;
       if (p.scan.matched > 0) {
@@ -406,7 +393,7 @@ QueryAnswer AnswerOverPlan(const PartitionTree& tree,
                            const EstimatorOptions& opts,
                            const AnswerOptions& answer_options) {
   const FrontierScan fs =
-      ExecutePlan(tree, samples, query.predicate, std::move(plan), opts,
+      ExecutePlan(tree, samples, query.predicate, std::move(plan),
                   answer_options.budget, answer_options.seed);
 
   QueryAnswer out = fs.base;
@@ -524,7 +511,7 @@ MultiAnswer MultiAnswerOverPlan(const PartitionTree& tree,
                                 const EstimatorOptions& opts,
                                 const AnswerOptions& answer_options) {
   const FrontierScan fs =
-      ExecutePlan(tree, samples, predicate, std::move(plan), opts,
+      ExecutePlan(tree, samples, predicate, std::move(plan),
                   answer_options.budget, answer_options.seed);
   return MultiFromFrontier(tree, fs, opts);
 }
@@ -549,7 +536,7 @@ class TreeSession final : public EstimationSession {
         plan_cost_(plan.total_cost),
         units_(plan.units) {
     const std::vector<uint32_t> order = SpendOrder(plan, seed);
-    fs_ = InitFrontierScan(tree_, std::move(plan), opts_);
+    fs_ = InitFrontierScan(tree_, std::move(plan));
     static_base_ = fs_.base;
     // Zero-cost units are admitted at every budget level (they do no
     // work), so scan them up front; the checkpointed walk below meters
@@ -588,8 +575,8 @@ class TreeSession final : public EstimationSession {
     // Same active-dim pruning as ExecutePlan: resumed sessions must stay
     // bit-identical to fresh budgeted runs, so both sites prune with the
     // same leaf box.
-    p.scan = samples_[static_cast<size_t>(n.leaf_id)].Scan(
-        predicate_, n.data_bounds, opts_.kernel_cache.get());
+    const StratifiedSample& sample = samples_[static_cast<size_t>(n.leaf_id)];
+    p.scan = sample.Scan(predicate_, n.data_bounds);
     p.scanned = true;
   }
 

@@ -27,7 +27,6 @@ enum class AvgMode {
   kPaperWeights,
 };
 
-class CoveredNodeSource;
 class KernelCache;
 
 /// Estimator configuration shared by the Synopsis and the baselines that
@@ -39,20 +38,8 @@ struct EstimatorOptions {
   bool use_fpc = true;             // finite population correction
   bool compute_hard_bounds = true;
 
-  /// Read-through source of covered-node aggregates (see
-  /// core/covered_source.h); nullptr reads tree.node(id).stats directly.
-  /// Sources must return the node's exact stats, so estimates are
-  /// bit-identical either way — the indirection exists for the semantic
-  /// answer cache's covered-node tier. Not owned; must outlive every
-  /// answer and session using these options.
-  CoveredNodeSource* covered_source = nullptr;
-
-  /// Cache of per-query specialized scan kernels (jit/kernel_cache.h);
-  /// nullptr runs every leaf scan through the generic kernel. Specialized
-  /// and generic scans are bit-identical by the kernel contract, so
-  /// installing a cache never changes an answer — the registry installs
-  /// one per engine when EngineConfig::jit.enabled, shared across shards
-  /// so refined/repeated predicates reuse compiled kernels.
+  /// Ignored: a compatibility no-op (see jit/kernel_cache.h). Every leaf
+  /// scan runs through ScanColumns.
   std::shared_ptr<KernelCache> kernel_cache;
 };
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 
 namespace pass {
@@ -23,7 +22,7 @@ struct ScanMoments {
 };
 
 ScanMoments ScanRows(const Dataset& data, const Rect& predicate,
-                     AggShape shape, KernelCache* cache) {
+                     AggShape shape) {
   const size_t d = data.NumPredDims();
   PASS_CHECK_MSG(predicate.NumDims() == d,
                  "query dimensionality must match the dataset");
@@ -32,24 +31,22 @@ ScanMoments ScanRows(const Dataset& data, const Rect& predicate,
     dims[k] = ScanDim{data.pred_column(k).data(), predicate.dim(k).lo,
                       predicate.dim(k).hi};
   }
-  const ScanStats s = SpecializedScan(data.agg_column().data(),
-                                      data.NumRows(), dims.data(), d, shape,
-                                      cache);
+  const ScanStats s = ScanColumns(data.agg_column().data(), data.NumRows(),
+                                  dims.data(), d, shape);
   return ScanMoments{s.matched, s.sum, s.min, s.max};
 }
 
 }  // namespace
 
-ExactResult ExactAnswer(const Dataset& data, const Query& query,
-                        KernelCache* kernel_cache) {
-  // Only MIN/MAX read the extrema; the fused moments shape lets the
-  // specialized tiers skip the per-row compare-selects for the rest. The
-  // moments a kMoments scan returns are bit-identical to kFull's.
+ExactResult ExactAnswer(const Dataset& data, const Query& query) {
+  // Only MIN/MAX read the extrema; the moments shape lets the fixed-dim
+  // bodies skip the per-row compare-selects for the rest. The moments a
+  // kMoments scan returns are bit-identical to kFull's.
   const AggShape shape = (query.agg == AggregateType::kMin ||
                           query.agg == AggregateType::kMax)
                              ? AggShape::kFull
                              : AggShape::kMoments;
-  const ScanMoments m = ScanRows(data, query.predicate, shape, kernel_cache);
+  const ScanMoments m = ScanRows(data, query.predicate, shape);
   ExactResult out;
   out.matched = m.matched;
   switch (query.agg) {
@@ -78,10 +75,8 @@ ExactResult ExactAnswer(const Dataset& data, const Query& query,
   return out;
 }
 
-ExactMultiResult ExactMultiAnswer(const Dataset& data, const Rect& predicate,
-                                  KernelCache* kernel_cache) {
-  const ScanMoments m =
-      ScanRows(data, predicate, AggShape::kMoments, kernel_cache);
+ExactMultiResult ExactMultiAnswer(const Dataset& data, const Rect& predicate) {
+  const ScanMoments m = ScanRows(data, predicate, AggShape::kMoments);
   ExactMultiResult out;
   out.sum = m.sum;
   out.matched = m.matched;

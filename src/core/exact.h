@@ -9,8 +9,6 @@
 
 namespace pass {
 
-class KernelCache;
-
 /// Ground-truth result of a query computed by a full scan. `value` is the
 /// exact aggregate; for AVG/MIN/MAX it is meaningful only when matched > 0.
 struct ExactResult {
@@ -42,12 +40,9 @@ inline double RelativeError(double estimate, const ExactResult& truth) {
 /// all-or-nothing — the serving layer sheds an over-deadline exact query
 /// instead of truncating it (ExactSystem::SupportsBudget() is false).
 ///
-/// `kernel_cache` optionally routes the scan through a per-query
-/// specialized kernel (jit/kernel_cache.h); nullptr scans generically.
-/// Bit-identical either way. MIN/MAX queries need the full aggregate
-/// shape; SUM/COUNT/AVG specialize to the cheaper moments-only shape.
-ExactResult ExactAnswer(const Dataset& data, const Query& query,
-                        KernelCache* kernel_cache = nullptr);
+/// MIN/MAX queries scan the full aggregate shape; SUM/COUNT/AVG scan the
+/// cheaper moments-only shape (AggShape in kernel/scan_kernel.h).
+ExactResult ExactAnswer(const Dataset& data, const Query& query);
 
 /// Sum, count and average of the matching tuples from ONE scan — the fused
 /// counterpart of three per-aggregate ExactAnswer calls. `avg` is NaN when
@@ -58,8 +53,7 @@ struct ExactMultiResult {
   double avg = 0.0;
 };
 
-ExactMultiResult ExactMultiAnswer(const Dataset& data, const Rect& predicate,
-                                  KernelCache* kernel_cache = nullptr);
+ExactMultiResult ExactMultiAnswer(const Dataset& data, const Rect& predicate);
 
 }  // namespace pass
 

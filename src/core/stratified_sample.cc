@@ -6,7 +6,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "jit/kernel_cache.h"
 #include "kernel/scan_kernel.h"
 
 namespace pass {
@@ -47,28 +46,17 @@ uint64_t StratifiedSample::TotalScanCalls() {
 }
 
 StratifiedSample::ScanResult StratifiedSample::Scan(const Rect& query) const {
-  return ScanImpl(query, nullptr, nullptr);
+  return ScanImpl(query, nullptr);
 }
 
 StratifiedSample::ScanResult StratifiedSample::Scan(
     const Rect& query, const Rect& leaf_box) const {
   PASS_DCHECK(leaf_box.NumDims() == preds_.size());
-  return ScanImpl(query, &leaf_box, nullptr);
-}
-
-StratifiedSample::ScanResult StratifiedSample::Scan(const Rect& query,
-                                                    KernelCache* cache) const {
-  return ScanImpl(query, nullptr, cache);
-}
-
-StratifiedSample::ScanResult StratifiedSample::Scan(
-    const Rect& query, const Rect& leaf_box, KernelCache* cache) const {
-  PASS_DCHECK(leaf_box.NumDims() == preds_.size());
-  return ScanImpl(query, &leaf_box, cache);
+  return ScanImpl(query, &leaf_box);
 }
 
 StratifiedSample::ScanResult StratifiedSample::ScanImpl(
-    const Rect& query, const Rect* leaf_box, KernelCache* cache) const {
+    const Rect& query, const Rect* leaf_box) const {
   PASS_DCHECK(query.NumDims() == preds_.size());
   LocalScanCounter().fetch_add(1, std::memory_order_relaxed);
   const size_t d = preds_.size();
@@ -94,8 +82,8 @@ StratifiedSample::ScanResult StratifiedSample::ScanImpl(
 
   // Estimator scans always want the full shape: the observed extrema feed
   // FrontierStats and the deterministic hard bounds downstream.
-  const ScanStats s = SpecializedScan(agg_.data(), agg_.size(), dims,
-                                      contested, AggShape::kFull, cache);
+  const ScanStats s = ScanColumns(agg_.data(), agg_.size(), dims, contested,
+                                  AggShape::kFull);
   ScanResult out;
   out.matched = s.matched;
   out.sum = s.sum;

@@ -83,13 +83,12 @@ class StratifiedSample {
   /// outside it and unsupported by the builders).
   ScanResult Scan(const Rect& query, const Rect& leaf_box) const;
 
-  /// Like the overloads above, but scans through `cache`'s best
-  /// specialized kernel tier when `cache` is non-null (jit/kernel_cache.h;
-  /// nullptr is the plain generic scan). Tier choice never changes result
-  /// bits, so these are drop-in replacements at every call site.
-  ScanResult Scan(const Rect& query, KernelCache* cache) const;
+  /// Same as Scan(query, leaf_box); the KernelCache* is ignored (a
+  /// compatibility no-op, see jit/kernel_cache.h).
   ScanResult Scan(const Rect& query, const Rect& leaf_box,
-                  KernelCache* cache) const;
+                  KernelCache* /*ignored*/) const {
+    return Scan(query, leaf_box);
+  }
 
   /// Process-wide count of Scan() invocations. Each thread bumps its own
   /// counter (no shared cache line on the hot scan loop); reads aggregate
@@ -114,8 +113,7 @@ class StratifiedSample {
   }
 
  private:
-  ScanResult ScanImpl(const Rect& query, const Rect* leaf_box,
-                      KernelCache* cache) const;
+  ScanResult ScanImpl(const Rect& query, const Rect* leaf_box) const;
 
   std::vector<std::vector<double>> preds_;  // [dim][i]
   std::vector<double> agg_;

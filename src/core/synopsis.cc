@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/covered_source.h"
 #include "core/delta_encoding.h"
 
 namespace pass {
@@ -16,10 +15,6 @@ Synopsis::Synopsis(PartitionTree tree, std::vector<StratifiedSample> samples,
                  "one stratified sample per leaf required");
   sample_capacity_.reserve(samples_.size());
   for (const auto& s : samples_) sample_capacity_.push_back(s.size());
-}
-
-void Synopsis::AttachCoveredNodeCache(CoveredCacheHost* host) {
-  options_.covered_source = host->MakeTier();
 }
 
 QueryAnswer Synopsis::AnswerImpl(const Query& query,

@@ -33,12 +33,6 @@ class Synopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
-  /// Routes this synopsis's covered-aggregate reads through one tier
-  /// requested from `host` (see core/covered_source.h). Answers stay
-  /// bit-identical — the source contract returns exact node stats — so
-  /// this is pure serving-layer plumbing.
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override;
-
   /// The rule-OFF WorkPlan of this predicate (the frontier every fused
   /// answer and every non-AVG aggregate uses): one MCF walk, no sample
   /// row touched. What a serving layer uses to price queries, split
@@ -76,12 +70,6 @@ class Synopsis final : public AqpSystem {
   size_t NumLeaves() const { return tree_.NumLeaves(); }
   const EstimatorOptions& options() const { return options_; }
   EstimatorOptions& mutable_options() { return options_; }
-
-  /// The specialized-kernel cache every leaf scan dispatches through
-  /// (installed by the registry when EngineConfig::jit.enabled).
-  const KernelCache* ScanKernelCache() const override {
-    return options_.kernel_cache.get();
-  }
 
   /// Total rows currently summarized.
   uint64_t NumRows() const {

@@ -9,7 +9,6 @@
 #include "cache/cached_system.h"
 #include "core/synopsis.h"
 #include "engine/exact_system.h"
-#include "jit/kernel_cache.h"
 #include "partition/builder.h"
 #include "partition/ensemble.h"
 #include "shard/sharded_synopsis.h"
@@ -26,9 +25,8 @@ Status CheckDim(const Dataset& data, const EngineConfig& config) {
   return Status::Ok();
 }
 
-SystemResult MakeExact(const Dataset& data, const EngineConfig& config) {
-  return std::unique_ptr<AqpSystem>(
-      new ExactSystem(data, config.estimator.kernel_cache));
+SystemResult MakeExact(const Dataset& data, const EngineConfig&) {
+  return std::unique_ptr<AqpSystem>(new ExactSystem(data));
 }
 
 SystemResult MakeUniform(const Dataset& data, const EngineConfig& config) {
@@ -156,21 +154,10 @@ Result<std::unique_ptr<AqpSystem>> EngineRegistry::Create(
   if (data.NumRows() == 0) {
     return Status::FailedPrecondition("dataset is empty");
   }
-  // One specialized-kernel cache per engine, injected through the
-  // estimator options every factory forwards: shards, ensemble members
-  // and the exact path all share it, so a predicate compiled once serves
-  // the whole engine. Tier dispatch is bit-identical to the generic
-  // kernel, making this safe to install unconditionally when enabled.
-  EngineConfig effective = config;
-  if (config.jit.enabled) {
-    effective.estimator.kernel_cache =
-        std::make_shared<KernelCache>(config.jit);
-  }
-  Result<std::unique_ptr<AqpSystem>> built = it->second(data, effective);
+  Result<std::unique_ptr<AqpSystem>> built = it->second(data, config);
   if (!built.ok() || !config.cache.enabled) return built;
   // Serve the engine behind the semantic answer cache. The wrapper is
-  // transparent (bit-identical answers, forwarded Name/Costs) and attaches
-  // covered-node tiers to whatever member trees the engine exposes.
+  // transparent: bit-identical answers, forwarded Name/Costs.
   return std::unique_ptr<AqpSystem>(new CachedSystem(
       std::move(built).value(), data, config.cache));
 }

@@ -7,7 +7,7 @@ namespace pass {
 QueryAnswer ExactSystem::AnswerImpl(const Query& query,
                                     const AnswerOptions& options) const {
   (void)options;  // exact scans answer in full; budgets don't apply
-  const ExactResult truth = ExactAnswer(*data_, query, kernel_cache_.get());
+  const ExactResult truth = ExactAnswer(*data_, query);
   QueryAnswer answer;
   answer.estimate.value = truth.value;
   answer.estimate.variance = 0.0;
@@ -23,8 +23,7 @@ QueryAnswer ExactSystem::AnswerImpl(const Query& query,
 MultiAnswer ExactSystem::AnswerMultiImpl(const Rect& predicate,
                                          const AnswerOptions& options) const {
   (void)options;
-  const ExactMultiResult truth =
-      ExactMultiAnswer(*data_, predicate, kernel_cache_.get());
+  const ExactMultiResult truth = ExactMultiAnswer(*data_, predicate);
   MultiAnswer out;
   out.fused = true;  // deterministic answers: the zero covariance is exact
   const auto fill = [&](double value) {

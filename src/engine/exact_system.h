@@ -1,9 +1,7 @@
 #ifndef PASS_ENGINE_EXACT_SYSTEM_H_
 #define PASS_ENGINE_EXACT_SYSTEM_H_
 
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "core/aqp_system.h"
 #include "storage/dataset.h"
@@ -21,18 +19,10 @@ namespace pass {
 /// scheduler sheds an over-deadline exact query rather than budgeting it.
 class ExactSystem final : public AqpSystem {
  public:
-  /// `kernel_cache` optionally routes full scans through per-query
-  /// specialized kernels (jit/kernel_cache.h; the registry installs one
-  /// when EngineConfig::jit.enabled). Bit-identical to generic scans.
-  explicit ExactSystem(const Dataset& data,
-                       std::shared_ptr<KernelCache> kernel_cache = nullptr)
-      : data_(&data), kernel_cache_(std::move(kernel_cache)) {}
+  explicit ExactSystem(const Dataset& data) : data_(&data) {}
 
   std::string Name() const override { return "Exact"; }
   SystemCosts Costs() const override;
-  const KernelCache* ScanKernelCache() const override {
-    return kernel_cache_.get();
-  }
 
  protected:
   QueryAnswer AnswerImpl(const Query& query,
@@ -43,7 +33,6 @@ class ExactSystem final : public AqpSystem {
 
  private:
   const Dataset* data_;
-  std::shared_ptr<KernelCache> kernel_cache_;
 };
 
 }  // namespace pass

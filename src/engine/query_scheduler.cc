@@ -8,7 +8,6 @@
 
 #include "common/macros.h"
 #include "common/mutex.h"
-#include "jit/kernel_cache.h"
 #include "stats/confidence.h"
 
 namespace pass {
@@ -302,10 +301,6 @@ void QueryScheduler::RunTask(Task* raw) {
   if (const SemanticAnswerCache* cache = task->system->AnswerCache()) {
     result.cache_enabled = true;
     result.cache = cache->Stats();
-  }
-  if (const KernelCache* kernels = task->system->ScanKernelCache()) {
-    result.jit_enabled = true;
-    result.kernel = kernels->Stats();
   }
 
   if (task->want_future) task->promise.set_value(result);

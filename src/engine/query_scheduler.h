@@ -17,7 +17,6 @@
 #include "core/query.h"
 #include "engine/engine_config.h"
 #include "engine/thread_pool.h"
-#include "jit/jit_config.h"
 
 namespace pass {
 
@@ -74,15 +73,6 @@ struct ScheduledAnswer {
   /// sequential callers diff consecutive snapshots for per-query deltas.
   bool cache_enabled = false;
   CacheStats cache;
-
-  /// Specialized-scan-kernel accounting, filled iff the answering system
-  /// dispatches through a KernelCache (jit_enabled; see
-  /// jit/kernel_cache.h). Same snapshot semantics as `cache`: `kernel` is
-  /// the cumulative tier-counter snapshot at resolution, and sequential
-  /// callers diff consecutive snapshots to assert which tier
-  /// (generic|fixed|jit) served a given query's scans.
-  bool jit_enabled = false;
-  KernelTierStats kernel;
 };
 
 /// When a progressive (AnswerUntil) submission may stop refining. The

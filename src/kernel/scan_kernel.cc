@@ -54,8 +54,8 @@ bool ScanKernelVectorized() {
 #endif
 }
 
-ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
-                      size_t num_dims) {
+ScanStats ScanColumnsGeneric(const double* agg, size_t n,
+                             const ScanDim* dims, size_t num_dims) {
   // Per-stripe accumulators as plain locals: stripe l owns rows congruent
   // to l mod kScanLanes, and the final combine folds stripes in index
   // order, which fixes the floating-point reduction tree in source.
@@ -156,6 +156,137 @@ ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
   out.sum = CanonicalNan(out.sum);
   out.sum_sq = CanonicalNan(out.sum_sq);
   return out;
+}
+
+namespace {
+
+// The fixed-dim body: ScanColumnsGeneric with the dim count a template
+// parameter. The mask is integer-exact, so computing it with one fused
+// per-row conjunction instead of blockwise per-dim passes cannot change a
+// match bit. What must not differ is the floating-point accumulation,
+// which this body replays from ScanColumnsGeneric verbatim: the same
+// stripes, selects, block tail and fold order. kMinMax=false
+// (AggShape::kMoments) skips the extrema compare-selects and leaves
+// min/max at +inf/-inf; the moments are unaffected.
+template <size_t NDims, bool kMinMax>
+ScanStats ScanColumnsFixed(const double* agg, size_t n, const ScanDim* dims) {
+  const double* cols[NDims];
+  double lo[NDims];
+  double hi[NDims];
+  for (size_t k = 0; k < NDims; ++k) {
+    cols[k] = dims[k].values;
+    lo[k] = dims[k].lo;
+    hi[k] = dims[k].hi;
+  }
+
+  uint64_t matched = 0;
+  double lane_sum[kScanLanes] = {};
+  double lane_sum_sq[kScanLanes] = {};
+  double lane_min[kScanLanes];
+  double lane_max[kScanLanes];
+  for (size_t l = 0; l < kScanLanes; ++l) {
+    lane_min[l] = kInf;
+    lane_max[l] = -kInf;
+  }
+
+  uint32_t mask[kBlockRows];
+  for (size_t base = 0; base < n; base += kBlockRows) {
+    const size_t len = std::min(kBlockRows, n - base);
+
+    // Fused per-row conjunction; the k loop unrolls and the bounds live
+    // in registers. NaN values and NaN bounds never match.
+    PASS_SIMD_LOOP
+    for (size_t jj = 0; jj < len; ++jj) {
+      uint32_t m = 1;
+      for (size_t k = 0; k < NDims; ++k) {
+        const double v = cols[k][base + jj];
+        m &= static_cast<uint32_t>(v >= lo[k]) &
+             static_cast<uint32_t>(v <= hi[k]);
+      }
+      mask[jj] = m;
+    }
+
+    uint32_t block_matched = 0;
+    PASS_SIMD_COUNT(block_matched)
+    for (size_t jj = 0; jj < len; ++jj) block_matched += mask[jj];
+    matched += block_matched;
+
+    const double* a = agg + base;
+    size_t jj = 0;
+    for (; jj + kScanLanes <= len; jj += kScanLanes) {
+      PASS_SIMD_LOOP
+      for (size_t l = 0; l < kScanLanes; ++l) {
+        const double v = a[jj + l];
+        const bool hit = mask[jj + l] != 0;
+        const double sel = hit ? v : 0.0;
+        lane_sum[l] += sel;
+        lane_sum_sq[l] += sel * sel;
+        if (kMinMax) {
+          const double cmin = hit ? v : kInf;
+          lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
+          const double cmax = hit ? v : -kInf;
+          lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+        }
+      }
+    }
+    for (; jj < len; ++jj) {
+      const size_t l = jj % kScanLanes;
+      const double v = a[jj];
+      const bool hit = mask[jj] != 0;
+      const double sel = hit ? v : 0.0;
+      lane_sum[l] += sel;
+      lane_sum_sq[l] += sel * sel;
+      if (kMinMax) {
+        const double cmin = hit ? v : kInf;
+        lane_min[l] = cmin < lane_min[l] ? cmin : lane_min[l];
+        const double cmax = hit ? v : -kInf;
+        lane_max[l] = cmax > lane_max[l] ? cmax : lane_max[l];
+      }
+    }
+  }
+
+  ScanStats out;
+  out.matched = matched;
+  for (size_t l = 0; l < kScanLanes; ++l) {
+    out.sum += lane_sum[l];
+    out.sum_sq += lane_sum_sq[l];
+    if (kMinMax) {
+      out.min = lane_min[l] < out.min ? lane_min[l] : out.min;
+      out.max = lane_max[l] > out.max ? lane_max[l] : out.max;
+    }
+  }
+  out.sum = CanonicalNan(out.sum);
+  out.sum_sq = CanonicalNan(out.sum_sq);
+  return out;
+}
+
+// The contested-dim switch: a compile-time body for 1..kMaxFixedDims dims,
+// the generic blockwise loop for 0 and above.
+template <bool kMinMax>
+ScanStats ScanColumnsDispatch(const double* agg, size_t n,
+                              const ScanDim* dims, size_t num_dims) {
+  static_assert(kMaxFixedDims == 4, "the switch covers exactly 1..4 dims");
+  switch (num_dims) {
+    case 1:
+      return ScanColumnsFixed<1, kMinMax>(agg, n, dims);
+    case 2:
+      return ScanColumnsFixed<2, kMinMax>(agg, n, dims);
+    case 3:
+      return ScanColumnsFixed<3, kMinMax>(agg, n, dims);
+    case 4:
+      return ScanColumnsFixed<4, kMinMax>(agg, n, dims);
+    default:
+      return ScanColumnsGeneric(agg, n, dims, num_dims);
+  }
+}
+
+}  // namespace
+
+ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
+                      size_t num_dims, AggShape shape) {
+  return shape == AggShape::kFull
+             ? ScanColumnsDispatch<true>(agg, n, dims, num_dims)
+             : ScanColumnsDispatch<false>(agg, n, dims, num_dims);
 }
 
 ScanStats ScanColumnsScalarRef(const double* agg, size_t n,

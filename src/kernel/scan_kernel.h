@@ -8,7 +8,8 @@
 namespace pass {
 
 /// The one leaf-scan kernel shared by every hot scan path (stratified leaf
-/// samples in the estimator, full-column scans in the exact engine). Scans
+/// samples in the estimator and the sampling baselines, full-column scans
+/// in the exact engine). Scans
 /// column-major data: for each row, a conjunction of per-dimension interval
 /// tests decides membership, and matched rows contribute to
 /// count/sum/sum_sq/min/max.
@@ -38,7 +39,7 @@ namespace pass {
 ///
 /// ## Determinism contract
 ///
-/// Both kernels reduce into kScanLanes accumulator stripes — row i lands in
+/// Every kernel reduces into kScanLanes accumulator stripes — row i lands in
 /// stripe i % kScanLanes, every row adds `matched ? agg : 0.0` to its
 /// stripe — and the stripes combine left-to-right in index order. The
 /// floating-point operation sequence is therefore fixed in source, so with
@@ -74,21 +75,50 @@ struct ScanDim {
 /// because it is part of the bit-identity contract, not a tuning knob.
 inline constexpr size_t kScanLanes = 8;
 
-/// Scans n rows of `agg` against `num_dims` contested dimensions.
-/// num_dims == 0 (every dimension pruned or a 0-d query) matches all rows.
-/// Branchless masked implementation; auto-vectorized when built with
-/// -DPASS_SIMD=ON (the default).
+/// Which aggregate shape a scan feeds. The estimator always needs the
+/// full ScanStats (observed min/max feed the deterministic hard bounds),
+/// while the exact engine's fused SUM/COUNT/AVG scan never reads the
+/// extrema, so the fixed-dim bodies skip the two compare-selects per row.
+/// Under kMoments only matched/sum/sum_sq are meaningful; min/max must not
+/// be read.
+enum class AggShape : uint8_t {
+  kFull = 0,     // matched, sum, sum_sq, min, max
+  kMoments = 1,  // matched, sum, sum_sq only
+};
+
+/// Largest contested-dim count served by a compile-time fixed-dim body.
+/// Scans with more active dims (or none) run ScanColumnsGeneric: PASS
+/// queries contest 1-4 dims, and past that the per-dim loop overhead the
+/// fixed bodies remove is already noise.
+inline constexpr size_t kMaxFixedDims = 4;
+
+/// The one scan entry. Scans n rows of `agg` against `num_dims` contested
+/// dimensions; num_dims == 0 (every dimension pruned or a 0-d query)
+/// matches all rows. For 1..kMaxFixedDims dims it runs a body with the
+/// dim count fixed at compile time (the per-row conjunction unrolls and
+/// the bounds stay in registers); otherwise it runs ScanColumnsGeneric.
+/// The choice is pure dispatch: every fixed body replays the generic
+/// kernel's floating-point operation sequence, so the result bits are
+/// identical on every field `shape` covers.
 ScanStats ScanColumns(const double* agg, size_t n, const ScanDim* dims,
-                      size_t num_dims);
+                      size_t num_dims, AggShape shape = AggShape::kFull);
+
+/// The blockwise runtime-dim kernel: branchless masked passes, one per
+/// dimension, auto-vectorized when built with -DPASS_SIMD=ON (the
+/// default). Serves ScanColumns for 0 and more than kMaxFixedDims dims,
+/// and is the baseline the fixed bodies are fuzzed and timed against.
+/// Always computes the full shape.
+ScanStats ScanColumnsGeneric(const double* agg, size_t n,
+                             const ScanDim* dims, size_t num_dims);
 
 /// Reference implementation: the plain branchy row-at-a-time loop the
 /// kernel replaced, written independently against the contract above.
-/// Always compiled, never vectorized; the fuzz suite holds ScanColumns to
-/// bit-identity with it.
+/// Always compiled, never vectorized; the fuzz suite holds ScanColumns and
+/// ScanColumnsGeneric to bit-identity with it.
 ScanStats ScanColumnsScalarRef(const double* agg, size_t n,
                                const ScanDim* dims, size_t num_dims);
 
-/// True when this build compiled ScanColumns with vectorization pragmas
+/// True when this build compiled the scan kernels with vectorization pragmas
 /// (-DPASS_SIMD=ON).
 bool ScanKernelVectorized();
 

@@ -37,20 +37,6 @@ class SynopsisEnsemble final : public AqpSystem {
   std::string Name() const override { return "PASS-Ensemble"; }
   SystemCosts Costs() const override;
 
-  /// One covered-node tier per member (node ids are tree-local).
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    for (auto& member : members_) {
-      member.synopsis->AttachCoveredNodeCache(host);
-    }
-  }
-
-  /// Members share one engine-level kernel cache (see the registry), so
-  /// the first member's view is the engine's.
-  const KernelCache* ScanKernelCache() const override {
-    return members_.empty() ? nullptr
-                            : members_[0].synopsis->ScanKernelCache();
-  }
-
   const Synopsis& member(size_t i) const {
     PASS_DCHECK(i < members_.size());
     return *members_[i].synopsis;

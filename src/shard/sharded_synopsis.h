@@ -54,18 +54,6 @@ class ShardedSynopsis final : public AqpSystem {
   std::string Name() const override { return name_; }
   SystemCosts Costs() const override;
 
-  /// One covered-node tier per shard (node ids are tree-local).
-  void AttachCoveredNodeCache(CoveredCacheHost* host) override {
-    for (auto& shard : shards_) shard->AttachCoveredNodeCache(host);
-  }
-
-  /// Shards share one engine-level kernel cache (the registry installs
-  /// the same one into every shard), so the first shard's view is the
-  /// engine's.
-  const KernelCache* ScanKernelCache() const override {
-    return shards_.empty() ? nullptr : shards_[0]->ScanKernelCache();
-  }
-
   /// Total plan cost of this predicate across all shards, in scan units.
   uint64_t PlanScanCost(const Rect& predicate) const;
 

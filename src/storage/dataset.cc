@@ -1,7 +1,10 @@
 #include "storage/dataset.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -114,54 +117,56 @@ Status Dataset::WriteCsv(const std::string& path) const {
   return Status::Ok();
 }
 
-Result<Dataset> Dataset::ReadCsv(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
-  char line[1 << 14];
-  if (std::fgets(line, sizeof(line), f) == nullptr) {
-    std::fclose(f);
-    return Status::IoError("empty csv: " + path);
+namespace {
+
+// Parses one data row: d predicate fields and the aggregate, separated by
+// commas. False when a field is missing or not a number, or when anything
+// but whitespace follows the aggregate (trailing garbage, an extra field).
+bool ParseCsvRow(const std::string& line, std::vector<double>* preds,
+                 double* agg) {
+  const char* cursor = line.c_str();
+  char* next = nullptr;
+  for (double& pred : *preds) {
+    pred = std::strtod(cursor, &next);
+    if (next == cursor || *next != ',') return false;
+    cursor = next + 1;
   }
+  *agg = std::strtod(cursor, &next);
+  if (next == cursor) return false;
+  while (std::isspace(static_cast<unsigned char>(*next))) ++next;
+  return *next == '\0';
+}
+
+}  // namespace
+
+Result<Dataset> Dataset::ReadCsv(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open for read: " + path);
+  // Whole lines of any length: std::getline grows the buffer as needed.
+  std::string line;
+  if (!std::getline(in, line)) return Status::IoError("empty csv: " + path);
   // Parse the header: last column is the aggregate.
   std::vector<std::string> names;
   {
     std::stringstream ss(line);
     std::string cell;
     while (std::getline(ss, cell, ',')) {
-      while (!cell.empty() && (cell.back() == '\n' || cell.back() == '\r')) {
-        cell.pop_back();
-      }
+      while (!cell.empty() && cell.back() == '\r') cell.pop_back();
       names.push_back(cell);
     }
   }
   if (names.size() < 2) {
-    std::fclose(f);
     return Status::IoError("csv needs >= 2 columns: " + path);
   }
   std::string agg_name = names.back();
   names.pop_back();
   Dataset out(std::move(agg_name), std::move(names));
-  const size_t d = out.NumPredDims();
-  std::vector<double> preds(d);
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char* cursor = line;
-    bool bad = false;
-    for (size_t i = 0; i < d; ++i) {
-      char* next = nullptr;
-      preds[i] = std::strtod(cursor, &next);
-      if (next == cursor || *next != ',') {
-        bad = true;
-        break;
-      }
-      cursor = next + 1;
-    }
-    if (bad) continue;  // skip malformed rows (e.g. trailing newline)
-    char* next = nullptr;
-    const double agg = std::strtod(cursor, &next);
-    if (next == cursor) continue;
-    out.AddRow(preds, agg);
+  std::vector<double> preds(out.NumPredDims());
+  double agg = 0.0;
+  while (std::getline(in, line)) {
+    // Malformed rows (e.g. a blank trailing line) are skipped.
+    if (ParseCsvRow(line, &preds, &agg)) out.AddRow(preds, agg);
   }
-  std::fclose(f);
   return out;
 }
 

@@ -91,7 +91,9 @@ class Dataset {
   /// Writes `pred1,...,predd,agg` rows with a header line.
   Status WriteCsv(const std::string& path) const;
 
-  /// Reads a CSV produced by WriteCsv (last column = aggregate).
+  /// Reads a CSV produced by WriteCsv (last column = aggregate). Lines may
+  /// be any length. A data row with a missing or non-numeric field, or
+  /// with anything but whitespace after its last field, is skipped.
   static Result<Dataset> ReadCsv(const std::string& path);
 
  private:

@@ -79,6 +79,47 @@ TEST(Dataset, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Writes `text` to a temp file and loads it back.
+Result<Dataset> ReadCsvText(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  PASS_CHECK(f != nullptr);
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  Result<Dataset> loaded = Dataset::ReadCsv(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(Dataset, ReadCsvKeepsLinesLongerThanAnyBufferWhole) {
+  // 17 KiB of leading zeros in the first field, then in the last: each
+  // line is one row with its full value, never two halves of one.
+  const std::string zeros(17 * 1024, '0');
+  const std::string text =
+      "x,value\n" + zeros + "2.5,7\n5," + zeros + "9\n3,4\n";
+  Result<Dataset> loaded = ReadCsvText("pass_ds_long.csv", text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->NumRows(), 3u);
+  EXPECT_EQ(loaded->pred(0, 0), 2.5);
+  EXPECT_EQ(loaded->agg(0), 7.0);
+  EXPECT_EQ(loaded->pred(0, 1), 5.0);
+  EXPECT_EQ(loaded->agg(1), 9.0);
+  EXPECT_EQ(loaded->pred(0, 2), 3.0);
+  EXPECT_EQ(loaded->agg(2), 4.0);
+}
+
+TEST(Dataset, ReadCsvSkipsRowsWithTrailingGarbage) {
+  const std::string text = "x,value\n1.5,2x\n1,2,3\n4,5 \r\n6,7\n";
+  Result<Dataset> loaded = ReadCsvText("pass_ds_garbage.csv", text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // "2x" and the extra field are malformed; trailing whitespace is not.
+  ASSERT_EQ(loaded->NumRows(), 2u);
+  EXPECT_EQ(loaded->pred(0, 0), 4.0);
+  EXPECT_EQ(loaded->agg(0), 5.0);
+  EXPECT_EQ(loaded->pred(0, 1), 6.0);
+  EXPECT_EQ(loaded->agg(1), 7.0);
+}
+
 TEST(Dataset, ReadCsvMissingFileFails) {
   Result<Dataset> r = Dataset::ReadCsv("/nonexistent/path/to/file.csv");
   EXPECT_FALSE(r.ok());

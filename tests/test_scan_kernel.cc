@@ -1,10 +1,11 @@
-/// The scan-kernel contract (kernel/scan_kernel.h): the branchless masked
-/// kernel is bit-for-bit identical to the independently written scalar
-/// reference on arbitrary (leaf, rect) pairs — including empty leaves,
-/// all-match, none-match, degenerate rects, NaN values/bounds and signed
-/// zeros — active-dim pruning never changes a result bit, and with the
-/// kernel under every engine, registry-wide answers stay bit-identical
-/// across sharding (K ∈ {1, 2, 4}) and session resume.
+/// The scan-kernel contract (kernel/scan_kernel.h): the ScanColumns entry
+/// (fixed-dim bodies for 1-4 dims), the blockwise ScanColumnsGeneric and
+/// the independently written scalar reference are bit-for-bit identical
+/// on arbitrary (leaf, rect) pairs — including empty leaves, all-match,
+/// none-match, degenerate rects, NaN/inf values and bounds, signed zeros
+/// and block-boundary lengths — active-dim pruning never changes a result
+/// bit, and with the kernel under every engine, registry-wide answers stay
+/// bit-identical across sharding (K ∈ {1, 2, 4}) and session resume.
 
 #include "kernel/scan_kernel.h"
 
@@ -65,10 +66,18 @@ double RandomValue(Rng* rng) {
   }
 }
 
+/// Moments half of the contract: all that AggShape::kMoments promises.
+void ExpectMomentsBitIdentical(const ScanStats& a, const ScanStats& b) {
+  EXPECT_EQ(a.matched, b.matched);
+  EXPECT_EQ(Bits(a.sum), Bits(b.sum));
+  EXPECT_EQ(Bits(a.sum_sq), Bits(b.sum_sq));
+}
+
 /// One random query interval: ordinary ranges plus the degenerate shapes
-/// (inverted, NaN-bounded, point, everything, nothing).
+/// (inverted, NaN-bounded, point, signed-zero, half-infinite, everything,
+/// nothing).
 void RandomInterval(Rng* rng, double* lo, double* hi) {
-  switch (rng->Below(8)) {
+  switch (rng->Below(10)) {
     case 0:  // inverted (matches nothing)
       *lo = 1.0;
       *hi = -1.0;
@@ -87,6 +96,19 @@ void RandomInterval(Rng* rng, double* lo, double* hi) {
       *hi = p;
       return;
     }
+    case 4:  // signed-zero bounds
+      *lo = rng->Bernoulli(0.5) ? -0.0 : 0.0;
+      *hi = rng->Bernoulli(0.5) ? -0.0 : rng->UniformDouble(0.0, 12.0);
+      return;
+    case 5:  // half-infinite
+      if (rng->Bernoulli(0.5)) {
+        *lo = -kInf;
+        *hi = rng->UniformDouble(-12.0, 12.0);
+      } else {
+        *lo = rng->UniformDouble(-12.0, 12.0);
+        *hi = kInf;
+      }
+      return;
     default:
       *lo = rng->UniformDouble(-12.0, 12.0);
       *hi = rng->UniformDouble(-12.0, 12.0);
@@ -96,33 +118,59 @@ void RandomInterval(Rng* rng, double* lo, double* hi) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized fuzz: SIMD kernel == scalar reference, bit for bit
+// Randomized fuzz: ScanColumns == ScanColumnsGeneric == scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(ScanKernel, FuzzMatchesScalarReferenceBitForBit) {
+/// A row count for the fuzz: mostly short leaves (empty, sub-lane, ragged
+/// tails), with lengths at and around the 256-row block and multi-block
+/// leaves mixed in.
+size_t RandomRowCount(Rng* rng) {
+  static constexpr size_t kEdges[] = {255, 256, 257, 263, 264, 511, 512, 513};
+  switch (rng->Below(10)) {
+    case 0:
+      return kEdges[rng->Below(sizeof(kEdges) / sizeof(kEdges[0]))];
+    case 1:
+      return static_cast<size_t>(rng->UniformInt(250, 600));
+    default:
+      return static_cast<size_t>(rng->UniformInt(0, 40));
+  }
+}
+
+TEST(ScanKernel, FuzzMatchesGenericAndScalarReferenceBitForBit) {
+  // d spans 0 (generic), the fixed-dim range [1, kMaxFixedDims] and two
+  // counts above it (generic again); every pair runs under both shapes.
+  constexpr size_t kMaxFuzzDims = 6;
+  static_assert(kMaxFuzzDims > kMaxFixedDims, "fuzz must cover the fallback");
+  constexpr int kPairsPerDim = 10000;
   Rng rng(0x5EEDF00Dull);
-  constexpr int kPairs = 10000;
-  for (int iter = 0; iter < kPairs; ++iter) {
-    const size_t d = static_cast<size_t>(rng.UniformInt(0, 4));
-    // Lengths straddle the kernel's block (256) and lane (8) boundaries:
-    // empty, sub-lane, ragged tails, and multi-block leaves all occur.
-    const size_t n = static_cast<size_t>(
-        rng.Bernoulli(0.1) ? rng.UniformInt(250, 600) : rng.UniformInt(0, 40));
-    std::vector<double> agg(n);
-    for (double& a : agg) a = RandomValue(&rng);
-    std::vector<std::vector<double>> cols(d, std::vector<double>(n));
-    std::vector<ScanDim> dims(d);
-    for (size_t k = 0; k < d; ++k) {
-      for (double& v : cols[k]) v = RandomValue(&rng);
-      dims[k].values = cols[k].data();
-      RandomInterval(&rng, &dims[k].lo, &dims[k].hi);
-    }
-    const ScanStats simd = ScanColumns(agg.data(), n, dims.data(), d);
-    const ScanStats ref = ScanColumnsScalarRef(agg.data(), n, dims.data(), d);
-    ExpectStatsBitIdentical(simd, ref);
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "diverged at fuzz iteration " << iter << " (n=" << n
-             << ", d=" << d << ")";
+  for (size_t d = 0; d <= kMaxFuzzDims; ++d) {
+    for (int iter = 0; iter < kPairsPerDim; ++iter) {
+      const size_t n = RandomRowCount(&rng);
+      std::vector<double> agg(n);
+      for (double& a : agg) a = RandomValue(&rng);
+      std::vector<std::vector<double>> cols(d, std::vector<double>(n));
+      std::vector<ScanDim> dims(d);
+      for (size_t k = 0; k < d; ++k) {
+        for (double& v : cols[k]) v = RandomValue(&rng);
+        dims[k].values = cols[k].data();
+        RandomInterval(&rng, &dims[k].lo, &dims[k].hi);
+      }
+      const ScanStats generic =
+          ScanColumnsGeneric(agg.data(), n, dims.data(), d);
+      const ScanStats ref = ScanColumnsScalarRef(agg.data(), n, dims.data(), d);
+      ExpectStatsBitIdentical(generic, ref);
+      const ScanStats full =
+          ScanColumns(agg.data(), n, dims.data(), d, AggShape::kFull);
+      ExpectStatsBitIdentical(full, generic);
+      ExpectStatsBitIdentical(full, ref);
+      const ScanStats moments =
+          ScanColumns(agg.data(), n, dims.data(), d, AggShape::kMoments);
+      ExpectMomentsBitIdentical(moments, generic);
+      ExpectMomentsBitIdentical(moments, ref);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at fuzz iteration " << iter << " (n=" << n
+               << ", d=" << d << ")";
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 /// The semantic answer cache (EngineConfig::cache): bit-identity of cached
 /// answers across the whole registry, exact-tier hit/miss/evict/TTL
-/// accounting, dataset-version invalidation of both tiers, covered-node
-/// reuse across overlapping predicates, and thread-safety of a shared
-/// cache under concurrent readers (this binary is a TSan CI target).
+/// accounting, dataset-version invalidation, and thread-safety of a
+/// shared cache under concurrent readers (this binary is a TSan CI
+/// target).
 
 #include <chrono>
 #include <cmath>
@@ -53,7 +53,7 @@ std::unique_ptr<AqpSystem> MustCreate(const std::string& name,
 }
 
 /// The query stream every bit-identity case replays: repeats and
-/// overlapping-but-distinct rectangles, so both tiers participate.
+/// overlapping-but-distinct rectangles, so hits and misses interleave.
 std::vector<Rect> OverlappingRects() {
   std::vector<Rect> rects;
   const std::vector<std::pair<double, double>> ranges = {
@@ -158,8 +158,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{"sharded_pass", 4}),
     CaseName);
 
-// Resumed sessions on a cached engine refine through the covered-node
-// tier; every rung of the ladder must match the bare engine's session.
+// Resumed sessions on a cached engine bypass the exact tier; every rung of
+// the ladder must match the bare engine's session.
 class CacheSessionIdentity : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(CacheSessionIdentity, ResumedSessionsMatchUncachedTwin) {
@@ -280,10 +280,10 @@ TEST(SemanticCache, SingleAndMultiEntriesAreKeyedApart) {
 }
 
 // ---------------------------------------------------------------------------
-// Dataset-version invalidation: both tiers flush, stale bits never served
+// Dataset-version invalidation: the cache flushes, stale bits never served
 // ---------------------------------------------------------------------------
 
-TEST(SemanticCache, DatasetVersionChangeFlushesBothTiersAndRefreshes) {
+TEST(SemanticCache, DatasetVersionChangeFlushesAndRefreshes) {
   Dataset data("agg", {"c1"});
   for (size_t i = 0; i < 100; ++i) {
     data.AddRow({static_cast<double>(i)}, 1.0);
@@ -309,7 +309,7 @@ TEST(SemanticCache, DatasetVersionChangeFlushesBothTiersAndRefreshes) {
   EXPECT_DOUBLE_EQ(after.estimate.value, 101.0);
   const CacheStats stats = cache->Stats();
   EXPECT_EQ(stats.invalidations, 1u);
-  // The flush emptied the tier before the post-append insert repopulated
+  // The flush emptied the cache before the post-append insert repopulated
   // it with exactly the refreshed answer.
   EXPECT_EQ(stats.exact_entries, 1u);
   EXPECT_TRUE(engine->Answer(q).estimate.value == 101.0);
@@ -323,36 +323,6 @@ TEST(SemanticCache, EnsureVersionFirstStampDoesNotCountAsInvalidation) {
   EXPECT_FALSE(cache.EnsureVersion(7));   // unchanged
   EXPECT_TRUE(cache.EnsureVersion(8));    // moved: flush
   EXPECT_EQ(cache.Stats().invalidations, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Covered-node tier: overlap reuse across distinct predicates
-// ---------------------------------------------------------------------------
-
-TEST(SemanticCache, OverlappingPredicatesReuseCoveredNodes) {
-  const Dataset data = MakeIntelLike(8000, 81);
-  EngineConfig config = BaseConfig();
-  const auto bare = MustCreate("pass", data, config);
-  config.cache.enabled = true;
-  const auto cached = MustCreate("pass", data, config);
-  const SemanticAnswerCache* cache = cached->AnswerCache();
-  ASSERT_NE(cache, nullptr);
-
-  // Two wide rectangles sharing their low edge: distinct exact-tier keys,
-  // but the left part of their MCF frontiers covers the same maximal
-  // subtrees (the predicate domain of MakeIntelLike(n) is [0, n)).
-  const Query a = RangeQueryOnDim(AggregateType::kSum, 1, 0, 1000.0, 7000.0);
-  const Query b = RangeQueryOnDim(AggregateType::kSum, 1, 0, 1000.0, 5000.0);
-
-  ExpectAnswersBitIdentical(cached->Answer(a), bare->Answer(a));
-  const CacheStats first = cache->Stats();
-  EXPECT_GT(first.node_misses, 0u);  // first walk populated the tier
-
-  ExpectAnswersBitIdentical(cached->Answer(b), bare->Answer(b));
-  const CacheStats second = cache->Stats();
-  EXPECT_GT(second.node_hits, 0u)
-      << "the overlapping predicate reused no covered nodes";
-  EXPECT_GT(second.node_entries, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,10 +53,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 RULES = ("nvi-override", "fp-accumulation", "nondeterminism", "naked-mutex")
 
-# Paths (relative, '/'-separated) exempt per rule. The jit tree holds
-# the specialized kernel bodies (bit-identical twins of ScanColumns),
-# so it shares the kernel exemption for fp accumulation.
-KERNEL_DIRS = ("src/kernel/", "src/jit/")
+# Paths (relative, '/'-separated) exempt per rule. Every scan kernel,
+# generic and fixed-dim alike, lives in src/kernel/.
+KERNEL_DIRS = ("src/kernel/",)
 MUTEX_HEADER = "src/common/mutex.h"
 
 
@@ -195,12 +194,12 @@ def check_fp(path, rel, text):
     for m in STD_REDUCERS.finditer(text):
         findings.append(Finding(
             path, line_of(text, m.start()), "fp-accumulation",
-            f"std::{m.group(1)} outside src/kernel/ or src/jit/ — row-data "
+            f"std::{m.group(1)} outside src/kernel/ — row-data "
             "reduction must go through the deterministic kernel reducers"))
     for m in OMP_PRAGMA.finditer(text):
         findings.append(Finding(
             path, line_of(text, m.start()), "fp-accumulation",
-            "#pragma omp outside src/kernel/ or src/jit/ — parallel "
+            "#pragma omp outside src/kernel/ — parallel "
             "reduction order must stay deterministic; use the kernel "
             "reducers"))
     # Loops that accumulate subscripted raw double-pointer data: the
@@ -215,7 +214,7 @@ def check_fp(path, rel, text):
             findings.append(Finding(
                 path, line_of(text, m.start()), "fp-accumulation",
                 "accumulation over subscripted raw double-pointer data "
-                "outside src/kernel/ or src/jit/ — use the deterministic "
+                "outside src/kernel/ — use the deterministic "
                 "reducers"))
     return findings
 
