@@ -29,7 +29,7 @@ struct PartialScan {
   int32_t node = -1;
   double n_pop = 0.0;
   double k_samp = 0.0;
-  bool scanned = true;
+  bool scanned = false;
   StratifiedSample::ScanResult scan;
 };
 
@@ -51,163 +51,180 @@ struct FrontierScan {
 /// sample: deterministic fallback instead of sampled estimation.
 bool HasScan(const PartialScan& p) { return p.scanned && p.k_samp > 0.0; }
 
-/// The spend-priority order of a plan's units: the explicit permutation
-/// when the plan carries one (a sharded fan-out's global-order
-/// restriction), else a seed-deterministic shuffle. One definition so the
-/// one-shot executor and the resumable session can never disagree.
-std::vector<uint32_t> SpendOrder(const WorkPlan& plan, uint64_t seed) {
-  if (!plan.priority.empty()) {
-    PASS_DCHECK(plan.priority.size() == plan.units.size());
-    return plan.priority;
-  }
-  std::vector<uint32_t> order(plan.units.size());
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  Rng rng(seed);
-  rng.Shuffle(&order);
-  return order;
+using SoftDeadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// The unit cap of a budget; no cap admits every unit.
+uint64_t UnitCap(const WorkBudget& budget) {
+  return budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
 }
 
-/// Selects which of the plan's units a finite budget admits: units are
-/// visited in the spend-priority order and admitted while their whole
-/// cost still fits (partial scans of one leaf's sample would bias the
-/// stratum estimator, so a unit is all-or-nothing); the walk STOPS at the
-/// first nonzero-cost unit that does not fit. The prefix-stop rule trades
-/// a little budget utilization for monotonicity: the admitted set at a
-/// smaller cap is always a prefix — hence a subset — of the admitted set
-/// at a larger one, which is what lets a resumable session replay the
-/// order from a checkpoint and still match a fresh run bit for bit.
-/// Zero-cost units always execute — they do no work. Admission is a pure
-/// function of (units, order, cap); the soft deadline is enforced later,
-/// at scan time, where the clock actually advances.
-std::vector<char> SelectUnits(const std::vector<WorkUnit>& units,
-                              const std::vector<uint32_t>& order,
-                              const WorkBudget& budget) {
-  std::vector<char> execute(units.size(), 1);
-  if (budget.Unlimited()) return execute;
-  const uint64_t cap =
-      budget.max_scan_units.value_or(std::numeric_limits<uint64_t>::max());
-  uint64_t used = 0;
-  bool stopped = false;
-  for (const uint32_t i : order) {
-    const uint64_t cost = units[i].cost;
-    if (cost == 0) continue;  // free: stays admitted
-    if (!stopped && used + cost <= cap) {
-      used += cost;
-    } else {
-      stopped = true;
-      execute[i] = 0;
+/// One execution of a WorkPlan: the FrontierScan a query assembles from,
+/// grown monotonically along the plan's spend-priority order. A one-shot
+/// answer advances it once; a resumable session advances it per call.
+/// Both therefore admit and scan the same units for the same cumulative
+/// cap, and assemble from identical state — the resume-equals-restart
+/// contract holds by construction.
+///
+/// The tree, samples and predicate are referenced and must outlive it.
+class PlanExecution {
+ public:
+  PlanExecution(const PartitionTree& tree,
+                const std::vector<StratifiedSample>& samples, WorkPlan plan,
+                const Rect& predicate, uint64_t seed)
+      : tree_(tree),
+        samples_(samples),
+        predicate_(predicate),
+        seed_(seed),
+        plan_cost_(plan.total_cost),
+        units_(std::move(plan.units)),
+        order_(std::move(plan.priority)) {
+    fs_.frontier = std::move(plan.frontier);
+    PASS_DCHECK(units_.size() == fs_.frontier.partial.size());
+    PASS_DCHECK(order_.empty() || order_.size() == units_.size());
+
+    QueryAnswer& out = fs_.base;
+    const PartitionTree::Frontier& frontier = fs_.frontier;
+    out.covered_nodes = static_cast<uint32_t>(frontier.covered.size() +
+                                              frontier.zero_var.size());
+    out.partial_leaves = static_cast<uint32_t>(frontier.partial.size());
+    out.nodes_visited = frontier.nodes_visited;
+    if (tree.root() >= 0) {
+      out.population_rows = tree.node(tree.root()).stats.count;
+    }
+
+    // Rows the synopsis never has to look at: everything outside the
+    // partial leaves (covered partitions are answered from aggregates;
+    // disjoint ones are skipped by the index walk).
+    uint64_t partial_rows = 0;
+    for (const int32_t id : frontier.partial) {
+      partial_rows += tree.node(id).stats.count;
+    }
+    out.population_rows_skipped = out.population_rows - partial_rows;
+    out.exact = frontier.partial.empty() && frontier.zero_var.empty();
+    out.scan_units_planned = plan_cost_;
+
+    // Exact side: merge covered aggregates; 0-variance nodes contribute
+    // their constant value with their full cardinality (the paper's rule).
+    for (const int32_t id : frontier.covered) {
+      fs_.covered_stats.Merge(tree.node(id).stats);
+    }
+    for (const int32_t id : frontier.zero_var) {
+      fs_.covered_stats.Merge(tree.node(id).stats);
+    }
+
+    fs_.partials.resize(frontier.partial.size());
+    for (size_t u = 0; u < units_.size(); ++u) {
+      PartialScan& p = fs_.partials[u];
+      p.node = frontier.partial[u];
+      p.n_pop = static_cast<double>(tree.node(p.node).stats.count);
+      p.k_samp = static_cast<double>(units_[u].cost);  // = sample size
+      // Zero-cost units (empty samples) are admitted at every budget
+      // level — they do no work — so the walk below meters nonzero units
+      // only.
+      if (units_[u].cost == 0) ScanUnit(u);
     }
   }
-  return execute;
-}
 
-/// The scan-free head of plan execution: frontier bookkeeping, covered
-/// aggregate merging, and one not-yet-scanned PartialScan record per
-/// partial leaf. Shared by the one-shot executor and the resumable
-/// session so both assemble answers from identical state.
-FrontierScan InitFrontierScan(const PartitionTree& tree, WorkPlan plan) {
-  FrontierScan fs;
-  fs.frontier = std::move(plan.frontier);
-
-  QueryAnswer& out = fs.base;
-  out.covered_nodes = static_cast<uint32_t>(fs.frontier.covered.size() +
-                                            fs.frontier.zero_var.size());
-  out.partial_leaves = static_cast<uint32_t>(fs.frontier.partial.size());
-  out.nodes_visited = fs.frontier.nodes_visited;
-  if (tree.root() >= 0) {
-    out.population_rows = tree.node(tree.root()).stats.count;
-  }
-
-  // Rows the synopsis never has to look at: everything outside the partial
-  // leaves (covered partitions are answered from aggregates; disjoint ones
-  // are skipped by the index walk).
-  uint64_t partial_rows = 0;
-  for (const int32_t id : fs.frontier.partial) {
-    partial_rows += tree.node(id).stats.count;
-  }
-  out.population_rows_skipped = out.population_rows - partial_rows;
-  out.exact = fs.frontier.partial.empty() && fs.frontier.zero_var.empty();
-  out.scan_units_planned = plan.total_cost;
-
-  // Exact side: merge covered aggregates; 0-variance nodes contribute their
-  // constant value with their full cardinality (the paper's rule).
-  for (const int32_t id : fs.frontier.covered) {
-    fs.covered_stats.Merge(tree.node(id).stats);
-  }
-  for (const int32_t id : fs.frontier.zero_var) {
-    fs.covered_stats.Merge(tree.node(id).stats);
-  }
-
-  fs.partials.reserve(fs.frontier.partial.size());
-  for (const int32_t id : fs.frontier.partial) {
-    const PartitionTree::Node& n = tree.node(id);
-    PASS_CHECK_MSG(n.leaf_id >= 0, "partial node is not a finalized leaf");
-    PartialScan p;
-    p.node = id;
-    p.n_pop = static_cast<double>(n.stats.count);
-    p.k_samp = 0.0;  // filled below; a leaf's sample size is its unit cost
-    p.scanned = false;
-    fs.partials.push_back(p);
-  }
-  for (size_t u = 0; u < plan.units.size(); ++u) {
-    fs.partials[u].k_samp = static_cast<double>(plan.units[u].cost);
-  }
-  return fs;
-}
-
-/// The execute half: consumes a WorkPlan up to `budget`, scanning admitted
-/// units and leaving the rest to the deterministic fallback. With an
-/// unlimited budget this performs exactly the operations (in exactly the
-/// order) of the pre-split scan-everything routine, so unlimited answers
-/// are bit-identical by construction.
-FrontierScan ExecutePlan(const PartitionTree& tree,
-                         const std::vector<StratifiedSample>& samples,
-                         const Rect& predicate, WorkPlan plan,
-                         const WorkBudget& budget, uint64_t seed) {
-  const std::vector<char> execute =
-      SelectUnits(plan.units, SpendOrder(plan, seed), budget);
-  FrontierScan fs = InitFrontierScan(tree, std::move(plan));
-  QueryAnswer& out = fs.base;
-
-  // Scan the admitted stratified samples once, in frontier order — the
-  // budget decides *which* leaves are scanned, never the accumulation
-  // order, so estimates stay reproducible across budget paths. The soft
-  // deadline is enforced right here, between unit scans (the admission
-  // pass above runs in microseconds, so only the scan loop actually
-  // watches the clock advance); once it expires, every remaining nonzero
-  // unit falls back — a unit scan is never torn.
-  for (size_t u = 0; u < fs.partials.size(); ++u) {
-    PartialScan& p = fs.partials[u];
-    const PartitionTree::Node& n = tree.node(p.node);
-    const StratifiedSample& sample = samples[static_cast<size_t>(n.leaf_id)];
-    p.scanned = execute[u] != 0;
-    if (p.scanned && sample.size() > 0 &&
-        budget.soft_deadline.has_value() &&
-        std::chrono::steady_clock::now() > *budget.soft_deadline) {
-      p.scanned = false;
+  /// Admits whole units in spend order while the cumulative cost still
+  /// fits `cap`, and STOPS at the first nonzero-cost unit that does not
+  /// (partial scans of one leaf's sample would bias the stratum
+  /// estimator, so a unit is all-or-nothing). The prefix-stop rule trades
+  /// a little budget utilization for monotonicity: the admitted set at a
+  /// smaller cap is a prefix — hence a subset — of the admitted set at a
+  /// larger one, which is what lets a session resume from its checkpoint
+  /// and still match a fresh run bit for bit. A smaller cap than already
+  /// spent scans nothing. `soft_deadline` is checked between unit scans
+  /// in spend order; once it has passed, the walk stops — a unit scan is
+  /// never torn.
+  void AdvanceTo(uint64_t cap, SoftDeadline soft_deadline) {
+    if (used_ == plan_cost_) return;  // every unit already scanned
+    if (cap >= plan_cost_ && !soft_deadline.has_value()) {
+      // Every unit is admitted whatever the order: scan the rest in
+      // frontier order and never build the spend order.
+      for (size_t u = 0; u < units_.size(); ++u) {
+        if (!fs_.partials[u].scanned) ScanUnit(u);
+      }
+      used_ = plan_cost_;
+      return;
     }
-    if (p.scanned) {
-      // Active-dim pruning: the leaf's tight bounding box proves dims the
-      // query fully covers, so the kernel tests contested dims only.
-      // Bit-identical to the unpruned scan (see StratifiedSample::Scan).
-      p.scan = sample.Scan(predicate, n.data_bounds);
-      out.sample_rows_scanned += sample.size();
+    if (order_.empty()) {
+      // No explicit priority (a sharded fan-out's global-order
+      // restriction): a seed-deterministic shuffle, built on first use.
+      order_.resize(units_.size());
+      std::iota(order_.begin(), order_.end(), uint32_t{0});
+      Rng rng(seed_);
+      rng.Shuffle(&order_);
+    }
+    for (; cursor_ < order_.size(); ++cursor_) {
+      const uint32_t u = order_[cursor_];
+      const uint64_t cost = units_[u].cost;
+      if (cost == 0) continue;  // scanned up front
+      if (used_ + cost > cap) break;
+      if (soft_deadline.has_value() &&
+          std::chrono::steady_clock::now() > *soft_deadline) {
+        break;
+      }
+      ScanUnit(u);
+      used_ += cost;
+    }
+  }
+
+  /// Rebuilds the scan-dependent diagnostics in frontier order — so
+  /// estimates never depend on the order units were scanned in — and
+  /// returns the state every estimator below is a pure function of.
+  const FrontierScan& Assemble() {
+    QueryAnswer& out = fs_.base;
+    out.sample_rows_scanned = 0;
+    out.matched_sample_rows = 0;
+    out.truncated = false;
+    fs_.observed_min.reset();
+    fs_.observed_max.reset();
+    for (size_t u = 0; u < fs_.partials.size(); ++u) {
+      const PartialScan& p = fs_.partials[u];
+      if (!p.scanned) {
+        out.truncated = true;
+        continue;
+      }
+      out.sample_rows_scanned += units_[u].cost;
       out.matched_sample_rows += p.scan.matched;
       if (p.scan.matched > 0) {
-        fs.observed_min = fs.observed_min
-                              ? std::min(*fs.observed_min, p.scan.min)
-                              : p.scan.min;
-        fs.observed_max = fs.observed_max
-                              ? std::max(*fs.observed_max, p.scan.max)
-                              : p.scan.max;
+        fs_.observed_min = fs_.observed_min
+                               ? std::min(*fs_.observed_min, p.scan.min)
+                               : p.scan.min;
+        fs_.observed_max = fs_.observed_max
+                               ? std::max(*fs_.observed_max, p.scan.max)
+                               : p.scan.max;
       }
-    } else {
-      out.truncated = true;
     }
+    return fs_;
   }
-  return fs;
-}
 
+  uint64_t PlanCost() const { return plan_cost_; }
+  uint64_t UnitsScanned() const { return used_; }
+
+ private:
+  void ScanUnit(size_t u) {
+    PartialScan& p = fs_.partials[u];
+    const PartitionTree::Node& n = tree_.node(p.node);
+    const StratifiedSample& sample = samples_[static_cast<size_t>(n.leaf_id)];
+    // Active-dim pruning: the leaf's tight bounding box proves dims the
+    // query fully covers, so the kernel tests contested dims only.
+    // Bit-identical to the unpruned scan (see StratifiedSample::Scan).
+    p.scan = sample.Scan(predicate_, n.data_bounds);
+    p.scanned = true;
+  }
+
+  const PartitionTree& tree_;
+  const std::vector<StratifiedSample>& samples_;
+  const Rect& predicate_;
+  const uint64_t seed_;
+  const uint64_t plan_cost_;
+  std::vector<WorkUnit> units_;
+  std::vector<uint32_t> order_;  // spend-priority order of units_
+  size_t cursor_ = 0;            // next candidate in order_
+  uint64_t used_ = 0;            // units admitted so far
+  FrontierScan fs_;
+};
 
 /// Hard bounds need the 0-variance nodes on the *partial* side (their
 /// matched cardinality is unknown even though their value is constant).
@@ -337,6 +354,33 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
   return out;
 }
 
+/// The tree-backed EstimationSession: the one-shot paths' PlanExecution,
+/// advanced once per call instead of once in total, with no deadline.
+class TreeSession final : public EstimationSession {
+ public:
+  TreeSession(const PartitionTree& tree,
+              const std::vector<StratifiedSample>& samples, WorkPlan plan,
+              Rect predicate, const EstimatorOptions& opts, uint64_t seed)
+      : tree_(tree),
+        predicate_(std::move(predicate)),
+        opts_(opts),
+        run_(tree, samples, std::move(plan), predicate_, seed) {}
+
+  MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
+    run_.AdvanceTo(max_scan_units, std::nullopt);
+    return MultiFromFrontier(tree_, run_.Assemble(), opts_);
+  }
+
+  uint64_t PlanCost() const override { return run_.PlanCost(); }
+  uint64_t UnitsScanned() const override { return run_.UnitsScanned(); }
+
+ private:
+  const PartitionTree& tree_;
+  const Rect predicate_;  // referenced by run_, so declared before it
+  const EstimatorOptions opts_;
+  PlanExecution run_;
+};
+
 }  // namespace
 
 WorkPlan PlanScan(const PartitionTree& tree,
@@ -370,31 +414,16 @@ StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
   return out;
 }
 
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts) {
-  return AnswerWithTree(tree, samples, query, opts, AnswerOptions{});
-}
-
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts,
-                           const AnswerOptions& answer_options) {
-  const bool use_rule =
-      opts.zero_variance_rule && query.agg == AggregateType::kAvg;
-  return AnswerOverPlan(tree, samples,
-                        PlanScan(tree, samples, query.predicate, use_rule),
-                        query, opts, answer_options);
-}
-
 QueryAnswer AnswerOverPlan(const PartitionTree& tree,
                            const std::vector<StratifiedSample>& samples,
                            WorkPlan plan, const Query& query,
                            const EstimatorOptions& opts,
                            const AnswerOptions& answer_options) {
-  const FrontierScan fs =
-      ExecutePlan(tree, samples, query.predicate, std::move(plan),
-                  answer_options.budget, answer_options.seed);
+  PlanExecution run(tree, samples, std::move(plan), query.predicate,
+                    answer_options.seed);
+  run.AdvanceTo(UnitCap(answer_options.budget),
+                answer_options.budget.soft_deadline);
+  const FrontierScan& fs = run.Assemble();
 
   QueryAnswer out = fs.base;
   HardBounds hard;
@@ -484,142 +513,17 @@ QueryAnswer AnswerOverPlan(const PartitionTree& tree,
   return out;
 }
 
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts) {
-  return MultiAnswerWithTree(tree, samples, predicate, opts, AnswerOptions{});
-}
-
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts,
-                                const AnswerOptions& answer_options) {
-  // One walk without the AVG-only zero-variance rule: the frontier is the
-  // one the per-aggregate SUM/COUNT paths use, so their estimates stay
-  // bit-identical, and a shared frontier is what makes the directly
-  // computed Cov(SUM, COUNT) exact for the AVG delta method.
-  return MultiAnswerOverPlan(tree, samples,
-                             PlanScan(tree, samples, predicate, false),
-                             predicate, opts, answer_options);
-}
-
 MultiAnswer MultiAnswerOverPlan(const PartitionTree& tree,
                                 const std::vector<StratifiedSample>& samples,
                                 WorkPlan plan, const Rect& predicate,
                                 const EstimatorOptions& opts,
                                 const AnswerOptions& answer_options) {
-  const FrontierScan fs =
-      ExecutePlan(tree, samples, predicate, std::move(plan),
-                  answer_options.budget, answer_options.seed);
-  return MultiFromFrontier(tree, fs, opts);
+  PlanExecution run(tree, samples, std::move(plan), predicate,
+                    answer_options.seed);
+  run.AdvanceTo(UnitCap(answer_options.budget),
+                answer_options.budget.soft_deadline);
+  return MultiFromFrontier(tree, run.Assemble(), opts);
 }
-
-namespace {
-
-/// The tree-backed EstimationSession: a checkpoint into the one spend-
-/// priority order the one-shot executor walks. State is the FrontierScan
-/// a fresh run would have built, grown monotonically; every AdvanceTo
-/// recomputes the dynamic diagnostics in frontier order and reassembles
-/// through the same MultiFromFrontier a fresh run uses, so answers are
-/// bit-identical to fresh budgeted evaluations by construction.
-class TreeSession final : public EstimationSession {
- public:
-  TreeSession(const PartitionTree& tree,
-              const std::vector<StratifiedSample>& samples, WorkPlan plan,
-              Rect predicate, const EstimatorOptions& opts, uint64_t seed)
-      : tree_(tree),
-        samples_(samples),
-        predicate_(std::move(predicate)),
-        opts_(opts),
-        plan_cost_(plan.total_cost),
-        units_(plan.units) {
-    const std::vector<uint32_t> order = SpendOrder(plan, seed);
-    fs_ = InitFrontierScan(tree_, std::move(plan));
-    static_base_ = fs_.base;
-    // Zero-cost units are admitted at every budget level (they do no
-    // work), so scan them up front; the checkpointed walk below meters
-    // nonzero units only.
-    for (uint32_t u = 0; u < units_.size(); ++u) {
-      if (units_[u].cost == 0) ScanUnit(u);
-    }
-    nonzero_order_.reserve(order.size());
-    for (const uint32_t u : order) {
-      if (units_[u].cost > 0) nonzero_order_.push_back(u);
-    }
-  }
-
-  MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
-    // Resume the prefix walk from the checkpoint: admit whole units while
-    // they fit the cumulative cap, stop at the first that does not —
-    // exactly where a fresh SelectUnits at this cap stops.
-    while (cursor_ < nonzero_order_.size()) {
-      const uint32_t u = nonzero_order_[cursor_];
-      const uint64_t cost = units_[u].cost;
-      if (used_ + cost > max_scan_units) break;
-      used_ += cost;
-      ScanUnit(u);
-      ++cursor_;
-    }
-    return Assemble();
-  }
-
-  uint64_t PlanCost() const override { return plan_cost_; }
-  uint64_t UnitsScanned() const override { return used_; }
-
- private:
-  void ScanUnit(uint32_t u) {
-    PartialScan& p = fs_.partials[u];
-    const PartitionTree::Node& n = tree_.node(p.node);
-    // Same active-dim pruning as ExecutePlan: resumed sessions must stay
-    // bit-identical to fresh budgeted runs, so both sites prune with the
-    // same leaf box.
-    const StratifiedSample& sample = samples_[static_cast<size_t>(n.leaf_id)];
-    p.scan = sample.Scan(predicate_, n.data_bounds);
-    p.scanned = true;
-  }
-
-  MultiAnswer Assemble() {
-    // Rebuild the dynamic diagnostics in frontier order — the order the
-    // one-shot executor accumulates them in — from the per-unit scans.
-    fs_.base = static_base_;
-    fs_.observed_min.reset();
-    fs_.observed_max.reset();
-    for (size_t u = 0; u < fs_.partials.size(); ++u) {
-      const PartialScan& p = fs_.partials[u];
-      if (!p.scanned) {
-        fs_.base.truncated = true;
-        continue;
-      }
-      fs_.base.sample_rows_scanned += units_[u].cost;
-      fs_.base.matched_sample_rows += p.scan.matched;
-      if (p.scan.matched > 0) {
-        fs_.observed_min = fs_.observed_min
-                               ? std::min(*fs_.observed_min, p.scan.min)
-                               : p.scan.min;
-        fs_.observed_max = fs_.observed_max
-                               ? std::max(*fs_.observed_max, p.scan.max)
-                               : p.scan.max;
-      }
-    }
-    return MultiFromFrontier(tree_, fs_, opts_);
-  }
-
-  const PartitionTree& tree_;
-  const std::vector<StratifiedSample>& samples_;
-  const Rect predicate_;
-  const EstimatorOptions opts_;
-  const uint64_t plan_cost_;
-  std::vector<WorkUnit> units_;
-  std::vector<uint32_t> nonzero_order_;  // spend order, nonzero units only
-  size_t cursor_ = 0;                    // next candidate in nonzero_order_
-  uint64_t used_ = 0;                    // units admitted so far
-  FrontierScan fs_;
-  QueryAnswer static_base_;  // plan-time diagnostics, scan-independent
-};
-
-}  // namespace
 
 std::unique_ptr<EstimationSession> StartTreeSession(
     const PartitionTree& tree, const std::vector<StratifiedSample>& samples,

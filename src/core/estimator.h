@@ -63,7 +63,7 @@ struct WorkPlan {
   uint64_t total_cost = 0;      // sum of unit costs
 
   /// Optional explicit spend-priority order: a permutation of indices into
-  /// `units`. Empty (the default, what PlanScan emits) means the executor
+  /// `units`. Empty (the default, what PlanScan emits) means execution
   /// derives the order from AnswerOptions::seed. A sharded fan-out fills
   /// it with the restriction of its global interleaved order, so each
   /// shard admits exactly the units the global budget walk chose.
@@ -71,95 +71,66 @@ struct WorkPlan {
 };
 
 /// Runs the MCF walk and enumerates the partial-leaf scan units. This is
-/// the cheap half of what used to be one fused scan-everything routine; an
-/// executor (inside the budgeted entry points below) consumes the plan's
-/// units up to a WorkBudget.
+/// the cheap half of query processing; AnswerOverPlan and
+/// MultiAnswerOverPlan execute the plan's units up to a WorkBudget.
+/// `zero_variance_as_covered` is the AVG-only zero-variance rule; every
+/// other aggregate, and every fused answer, plans with it off.
 WorkPlan PlanScan(const PartitionTree& tree,
                   const std::vector<StratifiedSample>& samples,
                   const Rect& predicate, bool zero_variance_as_covered);
 
-/// Full PASS query processing (Section 3.3): MCF index lookup, exact
-/// partial aggregation over covered nodes, stratified sample estimation
-/// over partially-overlapped leaves, CLT confidence interval, and
-/// deterministic hard bounds.
+/// Full PASS query processing (Section 3.3) over a plan from PlanScan:
+/// exact partial aggregation over covered nodes, stratified sample
+/// estimation over partially-overlapped leaves, CLT confidence interval,
+/// and deterministic hard bounds. `samples[leaf_id]` is the stratified
+/// sample of the leaf with that id. The plan must be PlanScan's result for
+/// this predicate with the rule flag this query uses.
 ///
-/// `samples[leaf_id]` is the stratified sample of the leaf with that id.
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts);
-
-/// Anytime variant: executes the query's WorkPlan only up to
-/// `answer_options.budget`, spending units in the deterministic priority
-/// order derived from `answer_options.seed`. Unscanned leaves contribute
-/// the bounds-midpoint fallback (the one sample-less leaves always used),
-/// so every budget level yields a valid answer whose interval tightens as
-/// the budget grows; `truncated` reports whether anything was left
-/// unscanned. With an unlimited budget this is bit-identical to the
-/// overload above. Under AvgMode::kPaperWeights an unscanned leaf drops
-/// out of the AVG weights exactly like a no-match leaf always has; the
-/// ratio mode (the default) keeps full population mass at every budget.
-QueryAnswer AnswerWithTree(const PartitionTree& tree,
-                           const std::vector<StratifiedSample>& samples,
-                           const Query& query, const EstimatorOptions& opts,
-                           const AnswerOptions& answer_options);
-
-/// Same, but executes a plan the caller already computed (e.g. while
-/// pricing a budget split) instead of walking the index again. The plan
-/// must be PlanScan's result for this predicate with the rule flag this
-/// query would use — rule-OFF for everything except AVG under the
-/// zero-variance rule.
+/// Anytime: the plan's units are spent only up to `answer_options.budget`,
+/// in the deterministic priority order derived from `answer_options.seed`
+/// (or the plan's explicit one). Unscanned leaves contribute the
+/// bounds-midpoint fallback (the one sample-less leaves always used), so
+/// every budget level yields a valid answer whose interval tightens as the
+/// budget grows; `truncated` reports whether anything was left unscanned.
+/// Under AvgMode::kPaperWeights an unscanned leaf drops out of the AVG
+/// weights exactly like a no-match leaf always has; the ratio mode (the
+/// default) keeps full population mass at every budget.
 QueryAnswer AnswerOverPlan(const PartitionTree& tree,
                            const std::vector<StratifiedSample>& samples,
                            WorkPlan plan, const Query& query,
                            const EstimatorOptions& opts,
                            const AnswerOptions& answer_options);
 
-/// Fused multi-aggregate query processing: ONE MCF walk and ONE scan of
-/// each partial leaf's sample produce SUM, COUNT and AVG together, with
-/// the exactly computed Cov(SUM, COUNT). The walk skips the AVG-only
-/// zero-variance rule so all three aggregates share a frontier — which is
-/// what makes the SUM and COUNT answers bit-identical to per-aggregate
-/// AnswerWithTree calls and the covariance exact. AVG is the ratio of the
-/// fused SUM/COUNT with the delta-method variance over that covariance.
+/// Fused multi-aggregate query processing over a rule-OFF plan: ONE MCF
+/// walk and ONE scan of each partial leaf's sample produce SUM, COUNT and
+/// AVG together, with the exactly computed Cov(SUM, COUNT). The rule-OFF
+/// frontier is the one the per-aggregate SUM/COUNT paths use, which is
+/// what makes those answers bit-identical to per-aggregate AnswerOverPlan
+/// calls and the covariance exact. AVG is the ratio of the fused
+/// SUM/COUNT with the delta-method variance over that covariance.
 ///
 /// The fused AVG is *always* this ratio estimator — the mergeable
 /// sampling-algebra form, and the only one a covariance is meaningful
-/// for. EstimatorOptions::avg_mode applies to the per-aggregate
-/// AnswerWithTree path only: under AvgMode::kPaperWeights, Answer(kAvg)
-/// and the fused avg are different estimators by design (exactly as the
-/// sharded AVG merge has always been ratio-combined regardless of the
-/// per-shard mode).
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts);
-
-/// Anytime variant of the fused path; same budget/seed semantics as the
-/// budgeted AnswerWithTree. SUM, COUNT and AVG truncate together (they
-/// share the one frontier and the one execution set), so the fused
-/// covariance stays exact over whatever was actually scanned.
-MultiAnswer MultiAnswerWithTree(const PartitionTree& tree,
-                                const std::vector<StratifiedSample>& samples,
-                                const Rect& predicate,
-                                const EstimatorOptions& opts,
-                                const AnswerOptions& answer_options);
-
-/// Fused path over a caller-provided plan (must be the rule-OFF PlanScan
-/// of this predicate — the frontier every fused answer uses).
+/// for. EstimatorOptions::avg_mode applies to the per-aggregate path
+/// only: under AvgMode::kPaperWeights, Answer(kAvg) and the fused avg are
+/// different estimators by design (exactly as the sharded AVG merge has
+/// always been ratio-combined regardless of the per-shard mode).
+///
+/// Same budget/seed semantics as AnswerOverPlan. SUM, COUNT and AVG
+/// truncate together (they share the one frontier and the one execution
+/// set), so the fused covariance stays exact over whatever was scanned.
 MultiAnswer MultiAnswerOverPlan(const PartitionTree& tree,
                                 const std::vector<StratifiedSample>& samples,
                                 WorkPlan plan, const Rect& predicate,
                                 const EstimatorOptions& opts,
                                 const AnswerOptions& answer_options);
 
-/// Opens a resumable fused estimation over a plan the caller already
-/// computed (PlanScan with the rule OFF — the fused frontier). AdvanceTo
-/// answers are bit-identical to MultiAnswerOverPlan on the same plan with
-/// the same seed and `budget.max_scan_units` equal to the cumulative cap:
-/// both spend units in the same priority order (the plan's explicit one,
-/// or the seed-shuffled order) under the same prefix-stop admission, and
-/// both assemble estimates from the partial scans in frontier order. The
-/// tree and samples must outlive the session.
+/// Opens a resumable fused estimation over a rule-OFF plan. A one-shot
+/// answer and a session run the same plan walk — the one-shot paths
+/// advance it once — so AdvanceTo answers are bit-identical to
+/// MultiAnswerOverPlan on the same plan with the same seed and
+/// `budget.max_scan_units` equal to the cumulative cap. The tree and
+/// samples must outlive the session.
 std::unique_ptr<EstimationSession> StartTreeSession(
     const PartitionTree& tree, const std::vector<StratifiedSample>& samples,
     WorkPlan plan, Rect predicate, const EstimatorOptions& opts,

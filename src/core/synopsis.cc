@@ -19,12 +19,16 @@ Synopsis::Synopsis(PartitionTree tree, std::vector<StratifiedSample> samples,
 
 QueryAnswer Synopsis::AnswerImpl(const Query& query,
                                  const AnswerOptions& options) const {
-  return AnswerWithTree(tree_, samples_, query, options_, options);
+  const bool use_rule =
+      options_.zero_variance_rule && query.agg == AggregateType::kAvg;
+  return pass::AnswerOverPlan(
+      tree_, samples_, PlanScan(tree_, samples_, query.predicate, use_rule),
+      query, options_, options);
 }
 
 MultiAnswer Synopsis::AnswerMultiImpl(const Rect& predicate,
                                       const AnswerOptions& options) const {
-  return MultiAnswerWithTree(tree_, samples_, predicate, options_, options);
+  return AnswerMultiOverPlan(PlanFor(predicate), predicate, options);
 }
 
 std::unique_ptr<EstimationSession> Synopsis::StartSessionImpl(
@@ -68,8 +72,7 @@ MultiAnswer Synopsis::AnswerMultiOverPlan(WorkPlan plan,
 
 uint64_t Synopsis::StorageBytes() const {
   // Per node: the four aggregates + sum of squares + two rectangles.
-  const size_t d =
-      tree_.root() < 0 ? 0 : tree_.node(tree_.root()).condition.NumDims();
+  const size_t d = NumPredDims();
   const uint64_t per_node =
       sizeof(AggregateStats) + 2 * d * sizeof(Interval) + 2 * sizeof(int32_t);
   uint64_t total = per_node * tree_.NumNodes();
@@ -111,6 +114,7 @@ SystemCosts Synopsis::Costs() const {
 }
 
 bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
+  if (preds.size() != NumPredDims()) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   // Patch aggregates and data bounds from the leaf up to the root.
@@ -142,6 +146,7 @@ bool Synopsis::Insert(const std::vector<double>& preds, double agg) {
 }
 
 bool Synopsis::Delete(const std::vector<double>& preds, double agg) {
+  if (preds.size() != NumPredDims()) return false;
   const int32_t leaf = tree_.RouteToLeaf(preds);
   if (leaf < 0) return false;
   if (tree_.node(leaf).stats.count == 0) return false;

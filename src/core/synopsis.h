@@ -92,15 +92,17 @@ class Synopsis final : public AqpSystem {
 
   // --- Dynamic updates (Section 4.5) ---------------------------------------
 
-  /// Inserts a tuple. Returns false if no leaf condition contains the point
-  /// (cannot happen when the tree was built with edge conditions widened to
-  /// +-inf, which all builders in this repo do).
+  /// Inserts a tuple. Returns false if `preds` does not have one value per
+  /// predicate dimension, or if no leaf condition contains the point (the
+  /// latter cannot happen when the tree was built with edge conditions
+  /// widened to +-inf, which all builders in this repo do).
   bool Insert(const std::vector<double>& preds, double agg);
 
-  /// Deletes one tuple with exactly these values, if the synopsis can route
-  /// it to a leaf that has a positive count. Aggregate counts and sums are
-  /// patched exactly; extrema remain conservative. If an identical row is
-  /// present in the leaf sample, one copy is removed.
+  /// Deletes one tuple with exactly these values, if `preds` has one value
+  /// per predicate dimension and the synopsis can route it to a leaf that
+  /// has a positive count. Aggregate counts and sums are patched exactly;
+  /// extrema remain conservative. If an identical row is present in the
+  /// leaf sample, one copy is removed.
   bool Delete(const std::vector<double>& preds, double agg);
 
   // --- Metadata set by builders ---------------------------------------------
@@ -126,6 +128,11 @@ class Synopsis final : public AqpSystem {
       const Rect& predicate, uint64_t seed) const override;
 
  private:
+  /// Predicate dimensions of the tree (0 for an empty tree).
+  size_t NumPredDims() const {
+    return tree_.root() < 0 ? 0 : tree_.node(tree_.root()).condition.NumDims();
+  }
+
   PartitionTree tree_;
   std::vector<StratifiedSample> samples_;
   std::vector<size_t> sample_capacity_;  // reservoir capacity per leaf

@@ -277,25 +277,11 @@ void QueryScheduler::RunTask(Task* raw) {
     // Any scheduler-level randomness must derive from the ticket (see
     // ScheduledAnswer::ticket): here, the budget's spend-priority seed.
     options.seed = task->ticket;
-    const SteadyClock::time_point started = SteadyClock::now();
-    result.answer = task->system->Answer(task->query, options);
-    result.run_ms = MillisBetween(started, SteadyClock::now());
+    AnswerOnce(*task, options, &result);
     result.budget_total = granted;
     result.budget_used = result.answer.sample_rows_scanned;
-    result.truncated = result.answer.truncated;
-    result.scan_rows_per_sec = RowsPerSec(result.budget_used, result.run_ms);
-    ObserveUnitCost(result.run_ms, result.budget_used);
   } else {
-    const SteadyClock::time_point started = SteadyClock::now();
-    result.answer = task->system->Answer(task->query);
-    result.run_ms = MillisBetween(started, SteadyClock::now());
-    result.scan_rows_per_sec =
-        RowsPerSec(result.answer.sample_rows_scanned, result.run_ms);
-    // Deadline-free traffic still warms the deadline-pricing EWMA (scan
-    // units consumed are reported by every budget-capable system).
-    if (task->system->SupportsBudget()) {
-      ObserveUnitCost(result.run_ms, result.answer.sample_rows_scanned);
-    }
+    AnswerOnce(*task, AnswerOptions{}, &result);
   }
   result.total_ms = MillisBetween(task->admitted, SteadyClock::now());
   if (const SemanticAnswerCache* cache = task->system->AnswerCache()) {
@@ -351,13 +337,7 @@ void QueryScheduler::RunProgressive(Task* task, ScheduledAnswer* result) {
   if (session == nullptr) {
     // No resumable path for this aggregate/system: answer once, in full.
     // The submission still resolves normally, just without refinements.
-    result->answer = task->system->Answer(task->query);
-    result->run_ms = MillisBetween(started, SteadyClock::now());
-    result->scan_rows_per_sec =
-        RowsPerSec(result->answer.sample_rows_scanned, result->run_ms);
-    if (task->system->SupportsBudget()) {
-      ObserveUnitCost(result->run_ms, result->answer.sample_rows_scanned);
-    }
+    AnswerOnce(*task, AnswerOptions{}, result);
     return;
   }
 
@@ -409,6 +389,21 @@ void QueryScheduler::RunProgressive(Task* task, ScheduledAnswer* result) {
   result->scan_rows_per_sec =
       RowsPerSec(result->budget_used, result->run_ms);
   ObserveUnitCost(result->run_ms, result->budget_used);
+}
+
+void QueryScheduler::AnswerOnce(const Task& task, const AnswerOptions& options,
+                                ScheduledAnswer* result) {
+  const SteadyClock::time_point started = SteadyClock::now();
+  result->answer = task.system->Answer(task.query, options);
+  result->run_ms = MillisBetween(started, SteadyClock::now());
+  result->truncated = result->answer.truncated;
+  result->scan_rows_per_sec =
+      RowsPerSec(result->answer.sample_rows_scanned, result->run_ms);
+  // Every budget-capable system reports the scan units it consumed, so
+  // deadline-free traffic warms the deadline-pricing EWMA too.
+  if (task.system->SupportsBudget()) {
+    ObserveUnitCost(result->run_ms, result->answer.sample_rows_scanned);
+  }
 }
 
 void QueryScheduler::Drain() {

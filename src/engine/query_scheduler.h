@@ -282,6 +282,11 @@ class QueryScheduler {
   /// refinement over a doubling budget ladder. Fills everything in
   /// `result` except total_ms.
   void RunProgressive(Task* task, ScheduledAnswer* result);
+  /// One timed Answer call, the body of every non-refining run: fills the
+  /// answer, run_ms, scan_rows_per_sec and truncated, and feeds
+  /// ObserveUnitCost when the system is budget-capable.
+  void AnswerOnce(const Task& task, const AnswerOptions& options,
+                  ScheduledAnswer* result);
   void ObserveUnitCost(double run_ms, uint64_t units)
       EXCLUDES(calibration_mu_);
 

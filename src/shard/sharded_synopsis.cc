@@ -29,63 +29,102 @@ struct GlobalUnit {
   uint64_t cost = 0;
 };
 
-/// The global spend-priority order over every shard's units: concatenate
-/// shard-major (shard ascending, unit order within), then one
-/// seed-deterministic shuffle — the same Shuffle a single synopsis
-/// performs over its own unit indices, so the permutation depends only on
-/// the unit count and the seed.
-std::vector<GlobalUnit> GlobalOrder(const std::vector<WorkPlan>& plans,
-                                    uint64_t seed) {
-  size_t total = 0;
-  for (const WorkPlan& plan : plans) total += plan.units.size();
-  std::vector<GlobalUnit> order;
-  order.reserve(total);
-  for (size_t s = 0; s < plans.size(); ++s) {
-    for (size_t u = 0; u < plans[s].units.size(); ++u) {
-      GlobalUnit g;
-      g.shard = static_cast<uint32_t>(s);
-      g.unit = static_cast<uint32_t>(u);
-      g.cost = plans[s].units[u].cost;
-      order.push_back(g);
+/// A checkpoint in the global cross-shard spend order. The order
+/// concatenates every shard's units shard-major (shard ascending, unit
+/// order within) and applies one seed-deterministic shuffle — the same
+/// Shuffle a single synopsis performs over its own unit indices, so the
+/// permutation depends only on the unit count and the seed. Each shard's
+/// plan gets its slice of that order as WorkPlan::priority.
+///
+/// AdvanceTo is the estimator's prefix-stop rule along the order: whole
+/// nonzero units are admitted while they fit the cumulative cap and the
+/// walk stops at the first that does not (zero-cost units are free and
+/// always admitted — they add nothing to any allocation). That rule makes
+/// the per-shard allocations componentwise monotone in the cap and their
+/// sum never exceed it. A restriction of the global prefix order is itself
+/// a prefix order, so a shard-local walk at the shard's allocation admits
+/// exactly the globally chosen units — now, or resumed from a smaller cap.
+struct GlobalWalk {
+  GlobalWalk(std::vector<WorkPlan>* plans, uint64_t seed)
+      : alloc(plans->size(), 0) {
+    size_t num_units = 0;
+    for (const WorkPlan& plan : *plans) num_units += plan.units.size();
+    order.reserve(num_units);
+    for (size_t s = 0; s < plans->size(); ++s) {
+      const std::vector<WorkUnit>& units = (*plans)[s].units;
+      for (size_t u = 0; u < units.size(); ++u) {
+        GlobalUnit g;
+        g.shard = static_cast<uint32_t>(s);
+        g.unit = static_cast<uint32_t>(u);
+        g.cost = units[u].cost;
+        order.push_back(g);
+        total += g.cost;
+      }
+    }
+    Rng rng(seed);
+    rng.Shuffle(&order);
+    for (WorkPlan& plan : *plans) plan.priority.reserve(plan.units.size());
+    for (const GlobalUnit& g : order) {
+      (*plans)[g.shard].priority.push_back(g.unit);
     }
   }
-  Rng rng(seed);
-  rng.Shuffle(&order);
-  return order;
-}
 
-/// Hands each shard its slice of the global order via WorkPlan::priority.
-/// A restriction of the global prefix order is itself a prefix order, so
-/// a shard-local prefix walk at the shard's exact admitted cost admits
-/// exactly the globally chosen units.
-void AttachPriorities(const std::vector<GlobalUnit>& order,
-                      std::vector<WorkPlan>* plans) {
-  for (WorkPlan& plan : *plans) {
-    plan.priority.clear();
-    plan.priority.reserve(plan.units.size());
+  void AdvanceTo(uint64_t cap) {
+    while (cursor < order.size()) {
+      const GlobalUnit& g = order[cursor];
+      if (g.cost > 0) {
+        if (used + g.cost > cap) break;
+        used += g.cost;
+        alloc[g.shard] += g.cost;
+      }
+      ++cursor;
+    }
   }
-  for (const GlobalUnit& g : order) {
-    (*plans)[g.shard].priority.push_back(g.unit);
-  }
-}
 
-/// Prefix-admission along the global order: whole nonzero units are
-/// admitted while they fit `budget`, and the walk stops at the first that
-/// does not (zero-cost units are free and always admitted — they add
-/// nothing to any allocation). Mirrors the estimator's SelectUnits rule,
-/// which is what makes the per-shard allocations componentwise monotone
-/// in `budget` and their sum never exceed it.
-std::vector<uint64_t> PrefixAdmit(const std::vector<GlobalUnit>& order,
-                                  size_t num_shards, uint64_t budget) {
-  std::vector<uint64_t> alloc(num_shards, 0);
-  uint64_t used = 0;
-  for (const GlobalUnit& g : order) {
-    if (g.cost == 0) continue;
-    if (used + g.cost > budget) break;
-    used += g.cost;
-    alloc[g.shard] += g.cost;
+  std::vector<GlobalUnit> order;
+  std::vector<uint64_t> alloc;  // per-shard admitted cost so far
+  uint64_t total = 0;           // every shard's plan cost
+  size_t cursor = 0;            // next candidate in order
+  uint64_t used = 0;            // units admitted so far
+};
+
+/// Resumable estimation across shards: the global walk of a budgeted
+/// fan-out, advancing one member session per shard to the allocation the
+/// walk grants it. Because the members scan precisely the units a fresh
+/// budgeted fan-out would admit at the same cumulative budget and seed,
+/// the merged answer is bit-identical to that fresh run at every
+/// AdvanceTo.
+class ShardedSession final : public EstimationSession {
+ public:
+  ShardedSession(std::vector<std::unique_ptr<EstimationSession>> members,
+                 GlobalWalk walk)
+      : members_(std::move(members)), walk_(std::move(walk)) {}
+
+  MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
+    walk_.AdvanceTo(max_scan_units);
+    std::vector<MultiAnswer> parts(members_.size());
+    for (size_t i = 0; i < members_.size(); ++i) {
+      parts[i] = members_[i]->AdvanceTo(walk_.alloc[i]);
+    }
+    return MergeShardMulti(parts);
   }
-  return alloc;
+
+  uint64_t PlanCost() const override { return walk_.total; }
+  uint64_t UnitsScanned() const override { return walk_.used; }
+
+ private:
+  std::vector<std::unique_ptr<EstimationSession>> members_;
+  GlobalWalk walk_;
+};
+
+/// Every shard's rule-OFF plan of `predicate`: one MCF walk per shard.
+std::vector<WorkPlan> PlanShards(
+    const std::vector<std::unique_ptr<Synopsis>>& shards,
+    const Rect& predicate) {
+  std::vector<WorkPlan> plans;
+  plans.reserve(shards.size());
+  for (const auto& shard : shards) plans.push_back(shard->PlanFor(predicate));
+  return plans;
 }
 
 }  // namespace
@@ -100,35 +139,28 @@ std::vector<uint64_t> ShardedSynopsis::SplitBudget(const Rect& predicate,
                                                    uint64_t budget,
                                                    uint64_t seed) const {
   PASS_CHECK_MSG(!shards_.empty(), "sharded synopsis has no shards");
-  std::vector<WorkPlan> plans;
-  plans.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    plans.push_back(shard->PlanFor(predicate));
-  }
-  return PrefixAdmit(GlobalOrder(plans, seed), shards_.size(), budget);
+  std::vector<WorkPlan> plans = PlanShards(shards_, predicate);
+  GlobalWalk walk(&plans, seed);
+  walk.AdvanceTo(budget);
+  return walk.alloc;
 }
 
-ShardedSynopsis::BudgetedFanOut ShardedSynopsis::PrepareBudgetedFanOut(
+ShardedSynopsis::FanOut ShardedSynopsis::PrepareFanOut(
     const Rect& predicate, const AnswerOptions& options) const {
   const size_t k = shards_.size();
-  BudgetedFanOut out;
-  out.plans.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    // The one walk per shard: priced here, executed by the shard later.
-    out.plans.push_back(shards_[i]->PlanFor(predicate));
-  }
+  FanOut out;
   out.options.resize(k);
   if (options.budget.max_scan_units.has_value()) {
-    // Global interleaved admission: decide which units the whole budget
-    // buys across all shards, then hand each shard its exact admitted
-    // cost plus its slice of the global order, so the fan-out scans
-    // precisely the globally chosen set.
-    const std::vector<GlobalUnit> order = GlobalOrder(out.plans, options.seed);
-    AttachPriorities(order, &out.plans);
-    const std::vector<uint64_t> alloc =
-        PrefixAdmit(order, k, *options.budget.max_scan_units);
+    // Global interleaved admission: price every shard (the one walk per
+    // shard, executed by the shard later), decide which units the whole
+    // budget buys across all shards, then hand each shard its exact
+    // admitted cost plus its slice of the global order, so the fan-out
+    // scans precisely the globally chosen set.
+    out.plans = PlanShards(shards_, predicate);
+    GlobalWalk walk(&out.plans, options.seed);
+    walk.AdvanceTo(*options.budget.max_scan_units);
     for (size_t i = 0; i < k; ++i) {
-      out.options[i].budget.max_scan_units = alloc[i];
+      out.options[i].budget.max_scan_units = walk.alloc[i];
     }
   }
   for (size_t i = 0; i < k; ++i) {
@@ -138,6 +170,11 @@ ShardedSynopsis::BudgetedFanOut ShardedSynopsis::PrepareBudgetedFanOut(
     out.options[i].seed = options.seed + i * 7919;
   }
   return out;
+}
+
+WorkPlan ShardedSynopsis::FanOut::TakePlan(const Synopsis& shard, size_t i,
+                                           const Rect& predicate) {
+  return plans.empty() ? shard.PlanFor(predicate) : std::move(plans[i]);
 }
 
 QueryAnswer ShardedSynopsis::AnswerImpl(const Query& query,
@@ -151,32 +188,13 @@ QueryAnswer ShardedSynopsis::AnswerImpl(const Query& query,
     // carrying the exact SUM/COUNT covariance into the ratio merge.
     return AnswerMulti(query.predicate, options).avg;
   }
-
-  const size_t k = shards_.size();
-  std::vector<QueryAnswer> parts(k);
-  if (options.budget.Unlimited()) {
-    // The unlimited path answers in full with no split overhead (none of
-    // the budgeted plan handoff below).
-    const auto answer_shard = [&](size_t i) {
-      parts[i] = shards_[i]->Answer(query);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
-    }
-  } else {
-    BudgetedFanOut fan = PrepareBudgetedFanOut(query.predicate, options);
-    const auto answer_shard = [&](size_t i) {
-      parts[i] = shards_[i]->AnswerOverPlan(std::move(fan.plans[i]), query,
-                                            fan.options[i]);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
-    }
-  }
+  FanOut fan = PrepareFanOut(query.predicate, options);
+  std::vector<QueryAnswer> parts(shards_.size());
+  ForEachShard([&](size_t i) {
+    const Synopsis& shard = *shards_[i];
+    parts[i] = shard.AnswerOverPlan(fan.TakePlan(shard, i, query.predicate),
+                                    query, fan.options[i]);
+  });
   return MergeShardAnswers(query.agg, parts);
 }
 
@@ -184,105 +202,31 @@ MultiAnswer ShardedSynopsis::AnswerMultiImpl(
     const Rect& predicate, const AnswerOptions& options) const {
   PASS_CHECK_MSG(!shards_.empty(), "sharded synopsis has no shards");
   if (shards_.size() == 1) return shards_[0]->AnswerMulti(predicate, options);
-
-  const size_t k = shards_.size();
-  std::vector<MultiAnswer> parts(k);
-  if (options.budget.Unlimited()) {
-    const auto answer_shard = [&](size_t i) {
-      parts[i] = shards_[i]->AnswerMulti(predicate);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
-    }
-  } else {
-    BudgetedFanOut fan = PrepareBudgetedFanOut(predicate, options);
-    const auto answer_shard = [&](size_t i) {
-      parts[i] = shards_[i]->AnswerMultiOverPlan(std::move(fan.plans[i]),
-                                                 predicate, fan.options[i]);
-    };
-    if (executor_ != nullptr) {
-      executor_->ForEachShard(k, answer_shard);
-    } else {
-      for (size_t i = 0; i < k; ++i) answer_shard(i);
-    }
-  }
+  FanOut fan = PrepareFanOut(predicate, options);
+  std::vector<MultiAnswer> parts(shards_.size());
+  ForEachShard([&](size_t i) {
+    const Synopsis& shard = *shards_[i];
+    parts[i] = shard.AnswerMultiOverPlan(fan.TakePlan(shard, i, predicate),
+                                         predicate, fan.options[i]);
+  });
   return MergeShardMulti(parts);
 }
-
-namespace {
-
-/// Resumable estimation across shards: a checkpoint into the global
-/// interleaved order, advancing one member session per shard to the exact
-/// allocation the global prefix walk grants it. Because the members scan
-/// precisely the units a fresh budgeted fan-out would admit at the same
-/// cumulative budget and seed, the merged answer is bit-identical to that
-/// fresh run at every AdvanceTo.
-class ShardedSession final : public EstimationSession {
- public:
-  ShardedSession(std::vector<std::unique_ptr<EstimationSession>> members,
-                 std::vector<GlobalUnit> order, uint64_t plan_cost)
-      : members_(std::move(members)),
-        order_(std::move(order)),
-        plan_cost_(plan_cost),
-        alloc_(members_.size(), 0) {}
-
-  MultiAnswer AdvanceTo(uint64_t max_scan_units) override {
-    while (cursor_ < order_.size()) {
-      const GlobalUnit& g = order_[cursor_];
-      if (g.cost > 0) {
-        if (used_ + g.cost > max_scan_units) break;
-        used_ += g.cost;
-        alloc_[g.shard] += g.cost;
-      }
-      ++cursor_;
-    }
-    std::vector<MultiAnswer> parts(members_.size());
-    for (size_t i = 0; i < members_.size(); ++i) {
-      parts[i] = members_[i]->AdvanceTo(alloc_[i]);
-    }
-    return MergeShardMulti(parts);
-  }
-
-  uint64_t PlanCost() const override { return plan_cost_; }
-  uint64_t UnitsScanned() const override { return used_; }
-
- private:
-  std::vector<std::unique_ptr<EstimationSession>> members_;
-  std::vector<GlobalUnit> order_;  // the global spend-priority order
-  const uint64_t plan_cost_;
-  std::vector<uint64_t> alloc_;  // per-shard admitted cost so far
-  size_t cursor_ = 0;            // next candidate in order_
-  uint64_t used_ = 0;            // units admitted so far
-};
-
-}  // namespace
 
 std::unique_ptr<EstimationSession> ShardedSynopsis::StartSessionImpl(
     const Rect& predicate, uint64_t seed) const {
   PASS_CHECK_MSG(!shards_.empty(), "sharded synopsis has no shards");
   if (shards_.size() == 1) return shards_[0]->StartSession(predicate, seed);
 
-  const size_t k = shards_.size();
-  std::vector<WorkPlan> plans;
-  plans.reserve(k);
-  uint64_t plan_cost = 0;
-  for (const auto& shard : shards_) {
-    plans.push_back(shard->PlanFor(predicate));
-    plan_cost += plans.back().total_cost;
-  }
-  std::vector<GlobalUnit> order = GlobalOrder(plans, seed);
-  AttachPriorities(order, &plans);
+  std::vector<WorkPlan> plans = PlanShards(shards_, predicate);
+  GlobalWalk walk(&plans, seed);
   std::vector<std::unique_ptr<EstimationSession>> members;
-  members.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
+  members.reserve(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
     members.push_back(shards_[i]->StartSessionOverPlan(std::move(plans[i]),
                                                        predicate,
                                                        seed + i * 7919));
   }
-  return std::make_unique<ShardedSession>(std::move(members),
-                                          std::move(order), plan_cost);
+  return std::make_unique<ShardedSession>(std::move(members), std::move(walk));
 }
 
 SystemCosts ShardedSynopsis::Costs() const {

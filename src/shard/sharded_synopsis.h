@@ -98,18 +98,32 @@ class ShardedSynopsis final : public AqpSystem {
       const Rect& predicate, uint64_t seed) const override;
 
  private:
-  /// Everything a budgeted fan-out needs, priced with ONE MCF walk per
-  /// shard: each shard's WorkPlan (handed back to the shard for
-  /// execution, so the walk is never repeated — and carrying its slice of
-  /// the global priority order) and its AnswerOptions — exact admitted
-  /// unit budget, pass-through soft deadline, decorrelated per-shard
-  /// seeds.
-  struct BudgetedFanOut {
+  /// Everything a fan-out needs: each shard's AnswerOptions (pass-through
+  /// soft deadline, decorrelated per-shard seed and, under a unit cap, the
+  /// exact admitted unit budget) and, under a unit cap only, each shard's
+  /// WorkPlan — priced with ONE MCF walk per shard and carrying its slice
+  /// of the global priority order, then handed back to the shard so the
+  /// walk is never repeated. Without a cap `plans` stays empty and each
+  /// shard walks inside its own shard task, not on the caller's thread.
+  struct FanOut {
     std::vector<WorkPlan> plans;
     std::vector<AnswerOptions> options;
+
+    /// Shard `i`'s plan: the priced one, or a fresh walk of `shard`.
+    WorkPlan TakePlan(const Synopsis& shard, size_t i, const Rect& predicate);
   };
-  BudgetedFanOut PrepareBudgetedFanOut(const Rect& predicate,
-                                       const AnswerOptions& options) const;
+  FanOut PrepareFanOut(const Rect& predicate,
+                       const AnswerOptions& options) const;
+
+  /// Runs fn(0) .. fn(K - 1) on the executor, or inline when there is none.
+  template <typename Fn>
+  void ForEachShard(const Fn& fn) const {
+    if (executor_ != nullptr) {
+      executor_->ForEachShard(shards_.size(), fn);
+    } else {
+      for (size_t i = 0; i < shards_.size(); ++i) fn(i);
+    }
+  }
 
   std::vector<std::unique_ptr<Synopsis>> shards_;
   const ParallelShardExecutor* executor_ = nullptr;

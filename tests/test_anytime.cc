@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/exact.h"
 #include "core/synopsis.h"
 #include "data/generators.h"
@@ -174,6 +175,56 @@ TEST(Anytime, BudgetCapAndPlanAccountingAreRespected) {
   }
 }
 
+// A test-local reference for the spend walk: shuffle the plan's units
+// with the seed, admit whole nonzero units while they fit, stop at the
+// first that does not. The engine must scan exactly that prefix's rows,
+// on the per-aggregate and on the fused path.
+uint64_t ReferencePrefixRows(std::vector<WorkUnit> units, uint64_t seed,
+                             uint64_t cap) {
+  Rng rng(seed);
+  rng.Shuffle(&units);
+  uint64_t used = 0;
+  for (const WorkUnit& unit : units) {
+    if (unit.cost == 0) continue;
+    if (used + unit.cost > cap) break;
+    used += unit.cost;
+  }
+  return used;
+}
+
+TEST(Anytime, BudgetedScansMatchAReferencePrefixWalk) {
+  const Dataset data = MakeIntelLike(12000, 315);
+  BuildOptions build;
+  build.num_leaves = 32;
+  build.sample_rate = 0.02;
+  build.seed = 316;
+  const Synopsis s = MustBuild(data, build);
+  size_t walked = 0;
+  for (const Rect& predicate : TestPredicates(data)) {
+    const WorkPlan plan = s.PlanFor(predicate);
+    if (plan.total_cost == 0) continue;
+    ++walked;
+    const uint64_t total = plan.total_cost;
+    for (const uint64_t seed : {uint64_t{0}, uint64_t{17}, uint64_t{4242}}) {
+      for (const uint64_t cap :
+           {uint64_t{0}, total / 4, total / 2, total - 1}) {
+        const uint64_t expected = ReferencePrefixRows(plan.units, seed, cap);
+        AnswerOptions options;
+        options.budget.max_scan_units = cap;
+        options.seed = seed;
+        const std::string where =
+            "seed " + std::to_string(seed) + " cap " + std::to_string(cap);
+        const QueryAnswer sum =
+            s.Answer(WithAgg(AggregateType::kSum, predicate), options);
+        EXPECT_EQ(sum.sample_rows_scanned, expected) << where;
+        const MultiAnswer multi = s.AnswerMulti(predicate, options);
+        EXPECT_EQ(multi.sum.sample_rows_scanned, expected) << where;
+      }
+    }
+  }
+  EXPECT_GT(walked, 0u);
+}
+
 TEST(Anytime, ZeroBudgetAnswersFromBoundsAlone) {
   const Dataset data = MakeIntelLike(12000, 317);
   BuildOptions build;
@@ -219,10 +270,32 @@ TEST(Anytime, ExpiredSoftDeadlineStopsAllScans) {
   AnswerOptions options;  // no unit cap: the clock is the only limit
   options.budget.soft_deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(10);
-  const MultiAnswer m = s.AnswerMulti(predicate, options);
-  ASSERT_GT(m.sum.partial_leaves, 0u);
-  EXPECT_EQ(m.sum.sample_rows_scanned, 0u);
-  EXPECT_TRUE(m.sum.truncated);
+  // The fused and the per-aggregate paths walk the same spend order
+  // under the same clock check, unsharded and across shards.
+  const auto expect_no_scans = [&](const AqpSystem& system,
+                                   const std::string& label) {
+    const MultiAnswer m = system.AnswerMulti(predicate, options);
+    ASSERT_GT(m.sum.partial_leaves, 0u) << label;
+    EXPECT_EQ(m.sum.sample_rows_scanned, 0u) << label;
+    EXPECT_TRUE(m.sum.truncated) << label;
+    for (const AggregateType agg :
+         {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg}) {
+      const QueryAnswer a = system.Answer(WithAgg(agg, predicate), options);
+      EXPECT_EQ(a.sample_rows_scanned, 0u) << label;
+      EXPECT_TRUE(a.truncated) << label;
+    }
+  };
+  expect_no_scans(s, "pass");
+  for (const size_t k : {size_t{2}, size_t{4}}) {
+    EngineConfig config;
+    config.sample_rate = 0.02;
+    config.partitions = 32;
+    config.num_shards = k;
+    config.seed = 320;
+    auto engine = EngineRegistry::Global().Create("sharded_pass", data, config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    expect_no_scans(**engine, "sharded_pass K=" + std::to_string(k));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,9 +114,10 @@ INSTANTIATE_TEST_SUITE_P(
                   : "");
     });
 
-// Re-requesting a cap the session already covered must reassemble the
-// answer for that *smaller* budget, not the largest seen: budgets are
-// cumulative but answers are exact functions of the cap.
+// Re-requesting a cap below what the session already scanned keeps the
+// current answer: budgets are cumulative, scanned work is never
+// discarded, so the smaller cap reassembles the answer of the largest cap
+// reached so far (here the full plan) and scans nothing new.
 TEST(EstimationSession, SmallerCapAfterLargerReassemblesThatBudget) {
   const Dataset data = MakeIntelLike(12000, 505);
   const auto system = MustCreate("pass", data, 1);

@@ -1,10 +1,11 @@
 /// The fused multi-aggregate path: AnswerMulti must produce SUM/COUNT
 /// answers bit-identical to per-aggregate Answer calls for every registry
-/// engine (the parity contract), derive AVG as the ratio of the fused
-/// SUM/COUNT with the exactly computed covariance, stop dropping known
-/// population mass at sample-less partial leaves, and — for the sharded
-/// engine — cost exactly one synopsis evaluation per shard, with reported
-/// diagnostics equal to the scans actually performed.
+/// engine, unbudgeted and at fixed-seed unit caps (the parity contract),
+/// derive AVG as the ratio of the fused SUM/COUNT with the exactly
+/// computed covariance, stop dropping known population mass at
+/// sample-less partial leaves, and — for the sharded engine — cost
+/// exactly one synopsis evaluation per shard, with reported diagnostics
+/// equal to the scans actually performed.
 
 #include <cmath>
 #include <memory>
@@ -68,12 +69,26 @@ TEST_P(MultiAnswerParity, SumCountBitIdenticalToSeparateCalls) {
   auto engine = EngineRegistry::Global().Create(param.name, data, config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   for (const Rect& predicate : TestPredicates(data)) {
+    const Query sum_query = WithAgg(AggregateType::kSum, predicate);
+    const Query count_query = WithAgg(AggregateType::kCount, predicate);
     const MultiAnswer m = (*engine)->AnswerMulti(predicate);
-    ExpectAnswersBitIdentical(
-        m.sum, (*engine)->Answer(WithAgg(AggregateType::kSum, predicate)));
-    ExpectAnswersBitIdentical(
-        m.count,
-        (*engine)->Answer(WithAgg(AggregateType::kCount, predicate)));
+    const QueryAnswer sum = (*engine)->Answer(sum_query);
+    ExpectAnswersBitIdentical(m.sum, sum);
+    ExpectAnswersBitIdentical(m.count, (*engine)->Answer(count_query));
+    // Budgeted too: the fused and per-aggregate paths walk one spend
+    // order, so at every cap they admit and scan the same units.
+    // (Engines without a budget answer in full at every cap.)
+    const uint64_t plan = sum.scan_units_planned;
+    for (const uint64_t cap : {uint64_t{0}, plan / 3, plan}) {
+      AnswerOptions options;
+      options.budget.max_scan_units = cap;
+      options.seed = 213;
+      const MultiAnswer budgeted = (*engine)->AnswerMulti(predicate, options);
+      ExpectAnswersBitIdentical(
+          budgeted.sum, (*engine)->Answer(sum_query, options));
+      ExpectAnswersBitIdentical(
+          budgeted.count, (*engine)->Answer(count_query, options));
+    }
   }
 }
 

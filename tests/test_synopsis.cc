@@ -244,6 +244,33 @@ TEST(SynopsisUpdates, DeletePatchesCountsAndSums) {
   EXPECT_NEAR(s.tree().node(s.tree().root()).stats.sum, sum_before - a, 1e-6);
 }
 
+TEST(SynopsisUpdates, WrongDimensionalityIsRejectedUntouched) {
+  const Dataset data = MakeTaxiLike(4000, 69).WithPredDims(2);
+  BuildOptions options;
+  options.num_leaves = 16;
+  Synopsis s = MustBuild(data, options);
+  const double x = data.pred(0, 7);
+  const double y = data.pred(1, 7);
+  const double a = data.agg(7);
+  const uint64_t rows = s.NumRows();
+  const double sum = s.tree().node(s.tree().root()).stats.sum;
+  // Too few and too many predicate values: neither may route (reading
+  // past the point) nor patch bounds (writing past the rectangle).
+  const std::vector<std::vector<double>> wrong_dims = {
+      {}, {x}, {x, y, 0.5}, {x, y, 0.5, 0.5}};
+  for (const std::vector<double>& preds : wrong_dims) {
+    EXPECT_FALSE(s.Insert(preds, a)) << preds.size() << " dims";
+    EXPECT_FALSE(s.Delete(preds, a)) << preds.size() << " dims";
+  }
+  EXPECT_EQ(s.NumRows(), rows);
+  EXPECT_EQ(s.tree().node(s.tree().root()).stats.sum, sum);
+  EXPECT_TRUE(s.tree().ValidateInvariants().ok());
+  // The matching dimensionality still updates.
+  EXPECT_TRUE(s.Insert({x, y}, a));
+  EXPECT_TRUE(s.Delete({x, y}, a));
+  EXPECT_EQ(s.NumRows(), rows);
+}
+
 TEST(SynopsisUpdates, HardBoundsSurviveUpdates) {
   Dataset data = MakeIntelLike(20000, 66);
   BuildOptions options;
