@@ -1,8 +1,8 @@
-/// Prints a bit-level digest of answers from every registered engine, plus
-/// sharded (K in {2, 4}), resumed-session and cache-hit paths, on a fixed
-/// dataset and workload. Every floating-point field is shown as its raw
-/// hex bit pattern, so two builds can be compared for exact bit-identity
-/// by diffing stdout:
+/// Prints a bit-level digest of answers from every registered engine (all
+/// five aggregates), plus sharded (K in {2, 4}), resumed-session and
+/// cache-hit paths, on a fixed dataset and workload. Every floating-point
+/// field is shown as its raw hex bit pattern, so two builds can be
+/// compared for exact bit-identity by diffing stdout:
 ///
 ///   build-simd/answer_digest  > simd.txt
 ///   build-scalar/answer_digest > scalar.txt   # -DPASS_SIMD=OFF
@@ -84,13 +84,22 @@ int main() {
   const std::vector<Query> queries = RandomRangeQueries(data, wl);
   char label[96];
 
-  // Every registered engine on the shared workload.
+  // Every registered engine on the shared workload, every aggregate: the
+  // SUM, COUNT, AVG, MIN and MAX paths of each engine are all in the
+  // digest.
   for (const std::string& name : EngineRegistry::Global().Names()) {
     const auto engine = MakeEngine(data, name, /*num_shards=*/1,
                                    /*cache=*/false);
     for (size_t i = 0; i < queries.size(); ++i) {
-      std::snprintf(label, sizeof(label), "%s q%zu", name.c_str(), i);
-      PrintAnswer(label, engine->Answer(queries[i]));
+      for (const AggregateType agg :
+           {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg,
+            AggregateType::kMin, AggregateType::kMax}) {
+        Query query = queries[i];
+        query.agg = agg;
+        std::snprintf(label, sizeof(label), "%s q%zu %s", name.c_str(), i,
+                      AggregateName(agg));
+        PrintAnswer(label, engine->Answer(query));
+      }
     }
   }
 

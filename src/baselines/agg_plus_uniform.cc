@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -24,6 +23,9 @@ AggregatePlusUniformSystem::AggregatePlusUniformSystem(
       population_rows_(data.NumRows()),
       options_(options),
       name_(std::move(name)) {
+  // AVG is always the ratio estimator: paper weights need per-stratum
+  // populations, which the gap stratum does not have.
+  options_.avg_mode = AvgMode::kRatio;
   Rng rng(seed);
   const size_t n = data.NumRows();
   const size_t k = static_cast<size_t>(
@@ -55,9 +57,13 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
   out.partial_leaves = static_cast<uint32_t>(frontier.partial.size());
   out.nodes_visited = frontier.nodes_visited;
 
-  AggregateStats covered;
+  // Exact side: the covered partitions' aggregates. Sampled side: one
+  // "gap" stratum, the whole table's population behind the one global
+  // uniform sample, in which a row matches when it lies in a partially
+  // overlapped partition and satisfies the predicate.
+  SampledSide side;
   for (const int32_t id : frontier.covered) {
-    covered.Merge(tree_.node(id).stats);
+    side.covered.Merge(tree_.node(id).stats);
   }
   uint64_t partial_rows = 0;
   std::vector<char> is_partial(tree_.NumLeaves(), 0);
@@ -68,16 +74,12 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
   out.population_rows_skipped = population_rows_ - partial_rows;
   out.exact = frontier.partial.empty();
 
-  // Scan the global uniform sample for the gap (matched rows inside
-  // partially-overlapped partitions); min/max observed along the way.
-  const size_t k_samp = sample_.size();
+  SampledStratum& gap_stratum = side.strata.emplace_back();
+  gap_stratum.population = static_cast<double>(population_rows_);
+  gap_stratum.sample_size = static_cast<double>(sample_.size());
+  StratifiedSample::ScanResult& gap = gap_stratum.scan;
   const size_t d = sample_.NumDims();
-  double gap_sum = 0.0;
-  double gap_sum_sq = 0.0;
-  uint64_t gap_matched = 0;
-  std::optional<double> observed_min;
-  std::optional<double> observed_max;
-  for (size_t i = 0; i < k_samp; ++i) {
+  for (size_t i = 0; i < sample_.size(); ++i) {
     if (!is_partial[static_cast<size_t>(sample_leaf_[i])]) continue;
     bool match = true;
     for (size_t dim = 0; dim < d; ++dim) {
@@ -88,80 +90,23 @@ QueryAnswer AggregatePlusUniformSystem::AnswerImpl(
     }
     if (!match) continue;
     const double a = sample_.agg(i);
-    ++gap_matched;
-    gap_sum += a;
-    gap_sum_sq += a * a;
-    observed_min = observed_min ? std::min(*observed_min, a) : a;
-    observed_max = observed_max ? std::max(*observed_max, a) : a;
+    gap.min = gap.matched == 0 ? a : std::min(gap.min, a);
+    gap.max = gap.matched == 0 ? a : std::max(gap.max, a);
+    ++gap.matched;
+    gap.sum += a;
+    gap.sum_sq += a * a;
   }
+  side.ObserveExtremes();
+  out.matched_sample_rows = gap.matched;
 
-  out.matched_sample_rows = gap_matched;
-  if (options_.compute_hard_bounds) {
-    const HardBounds hard =
-        ComputeHardBounds(tree_, frontier.covered, frontier.partial,
-                          query.agg, observed_min, observed_max);
-    if (hard.valid) {
-      out.hard_lb = hard.lb;
-      out.hard_ub = hard.ub;
-    }
+  const HardBounds hard =
+      ComputeHardBounds(tree_, frontier.covered, frontier.partial, query.agg,
+                        side.observed_min, side.observed_max);
+  if (hard.valid) {
+    out.hard_lb = hard.lb;
+    out.hard_ub = hard.ub;
   }
-
-  const double n_pop = static_cast<double>(population_rows_);
-  const double k_total = static_cast<double>(k_samp);
-  switch (query.agg) {
-    case AggregateType::kSum:
-    case AggregateType::kCount: {
-      const bool is_sum = query.agg == AggregateType::kSum;
-      const double s = is_sum ? gap_sum : static_cast<double>(gap_matched);
-      const double ss =
-          is_sum ? gap_sum_sq : static_cast<double>(gap_matched);
-      const StratumEstimate gap =
-          EstimateStratumSum(n_pop, k_total, s, ss, options_.use_fpc);
-      out.estimate.value = (is_sum ? covered.sum
-                                   : static_cast<double>(covered.count)) +
-                           gap.value;
-      out.estimate.variance = gap.variance;
-      break;
-    }
-    case AggregateType::kAvg: {
-      const double km = static_cast<double>(gap_matched);
-      const StratumEstimate es = EstimateStratumSum(
-          n_pop, k_total, gap_sum, gap_sum_sq, options_.use_fpc);
-      const StratumEstimate ec =
-          EstimateStratumSum(n_pop, k_total, km, km, options_.use_fpc);
-      const double fpc = options_.use_fpc
-                             ? FinitePopulationCorrection(n_pop, k_total)
-                             : 1.0;
-      const double cov =
-          n_pop * n_pop / k_total *
-          (gap_sum / k_total - (gap_sum / k_total) * (km / k_total)) * fpc;
-      const double a = covered.sum + es.value;
-      const double b = static_cast<double>(covered.count) + ec.value;
-      if (b <= 0.0) {
-        out.estimate = {0.0, 0.0};
-      } else {
-        const double ratio = a / b;
-        out.estimate.value = ratio;
-        out.estimate.variance = std::max(
-            0.0, (es.variance - 2.0 * ratio * cov +
-                  ratio * ratio * ec.variance) /
-                     (b * b));
-      }
-      break;
-    }
-    case AggregateType::kMin:
-    case AggregateType::kMax: {
-      const bool is_min = query.agg == AggregateType::kMin;
-      double best = is_min ? std::numeric_limits<double>::infinity()
-                           : -std::numeric_limits<double>::infinity();
-      if (covered.count > 0) best = is_min ? covered.min : covered.max;
-      if (is_min && observed_min) best = std::min(best, *observed_min);
-      if (!is_min && observed_max) best = std::max(best, *observed_max);
-      if (!std::isfinite(best)) best = 0.0;
-      out.estimate.value = best;
-      break;
-    }
-  }
+  out.estimate = EstimateFromStrata(query.agg, side, hard, options_);
   return out;
 }
 
@@ -238,43 +183,15 @@ AggregatePlusUniformSystem MakeAqpPlusPlus(const Dataset& data,
   const std::vector<uint32_t> perm = data.SortedPermutation(options.dim);
   const auto& col = data.pred_column(options.dim);
 
-  Rng rng(options.seed);
-  const size_t m = std::min(options.opt_sample_size, n);
-  const std::vector<size_t> picks = SampleWithoutReplacement(n, m, &rng);
-  std::vector<double> sample_pred(m);
-  std::vector<double> sample_agg(m);
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t row = perm[picks[i]];
-    sample_pred[i] = col[row];
-    sample_agg[i] = data.agg(row);
-  }
-  const PrefixSums prefix(sample_agg);
+  const SortedOptSample sample = DrawSortedOptSample(
+      data, perm, options.dim, options.opt_sample_size, options.seed);
+  const size_t m = sample.pred.size();
+  const PrefixSums prefix(sample.agg);
   const double ratio = static_cast<double>(n) / static_cast<double>(m);
   const std::vector<size_t> sample_cuts = HillClimbSampleCuts(
       prefix, ratio, m, options.num_partitions, options.max_iterations);
-
-  // Map the sample cuts to dataset positions (value thresholds).
-  std::vector<size_t> cuts;
-  cuts.push_back(0);
-  for (size_t i = 1; i + 1 < sample_cuts.size(); ++i) {
-    const size_t c = sample_cuts[i];
-    if (c == 0 || c > m) continue;
-    const double threshold = sample_pred[c - 1];
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (col[perm[mid]] <= threshold) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    cuts.push_back(lo);
-  }
-  cuts.push_back(n);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  const std::vector<size_t> cuts =
+      MapSampleCutsToData(sample_cuts, sample.pred, col, perm);
 
   // Flat "tree": one root over B leaf partitions (AQP++ has no hierarchy).
   std::vector<RowSlice> leaf_slices;

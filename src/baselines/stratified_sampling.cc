@@ -23,12 +23,7 @@ StratifiedSamplingSystem::StratifiedSamplingSystem(const Dataset& data,
   const std::vector<uint32_t> perm = data.SortedPermutation(dim);
   const auto& col = data.pred_column(dim);
 
-  std::vector<size_t> cuts;
-  for (const size_t pos : EqualDepthBoundaries(n, strata)) {
-    cuts.push_back(SnapToValueChange(col, perm, pos));
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  const std::vector<size_t> cuts = SnappedEqualDepthCuts(col, perm, strata);
 
   const size_t budget =
       static_cast<size_t>(std::llround(rate * static_cast<double>(n)));
@@ -63,133 +58,23 @@ QueryAnswer StratifiedSamplingSystem::AnswerImpl(
   QueryAnswer out;
   out.population_rows = population_rows_;
 
-  struct Hit {
-    const Stratum* stratum;
-    StratifiedSample::ScanResult scan;
-  };
-  std::vector<Hit> hits;
+  // The strata the predicate intersects, each estimated from its sample;
+  // nothing precomputed, no hard bounds.
+  SampledSide side;
   uint64_t touched_rows = 0;
   for (const Stratum& s : strata_) {
     if (!query.predicate.Intersects(s.bounds)) continue;
-    Hit hit{&s, s.sample.Scan(query.predicate)};
+    SampledStratum& hit = side.strata.emplace_back();
+    hit.population = static_cast<double>(s.rows);
+    hit.sample_size = static_cast<double>(s.sample.size());
+    hit.scan = s.sample.Scan(query.predicate);
     out.sample_rows_scanned += s.sample.size();
     out.matched_sample_rows += hit.scan.matched;
     touched_rows += s.rows;
-    hits.push_back(hit);
   }
   out.population_rows_skipped = population_rows_ - touched_rows;
-
-  switch (query.agg) {
-    case AggregateType::kSum:
-    case AggregateType::kCount: {
-      const bool is_sum = query.agg == AggregateType::kSum;
-      double value = 0.0;
-      double variance = 0.0;
-      for (const Hit& h : hits) {
-        const double s =
-            is_sum ? h.scan.sum : static_cast<double>(h.scan.matched);
-        const double ss =
-            is_sum ? h.scan.sum_sq : static_cast<double>(h.scan.matched);
-        const StratumEstimate est = EstimateStratumSum(
-            static_cast<double>(h.stratum->rows),
-            static_cast<double>(h.stratum->sample.size()), s, ss,
-            options_.use_fpc);
-        value += est.value;
-        variance += est.variance;
-      }
-      out.estimate.value = value;
-      out.estimate.variance = variance;
-      break;
-    }
-    case AggregateType::kAvg: {
-      if (options_.avg_mode == AvgMode::kRatio) {
-        double a = 0.0;
-        double b = 0.0;
-        double var_a = 0.0;
-        double var_b = 0.0;
-        double cov = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched == 0) continue;
-          const double n_pop = static_cast<double>(h.stratum->rows);
-          const double k_samp =
-              static_cast<double>(h.stratum->sample.size());
-          const double k = static_cast<double>(h.scan.matched);
-          const StratumEstimate es = EstimateStratumSum(
-              n_pop, k_samp, h.scan.sum, h.scan.sum_sq, options_.use_fpc);
-          const StratumEstimate ec =
-              EstimateStratumSum(n_pop, k_samp, k, k, options_.use_fpc);
-          const double fpc =
-              options_.use_fpc ? FinitePopulationCorrection(n_pop, k_samp)
-                               : 1.0;
-          a += es.value;
-          b += ec.value;
-          var_a += es.variance;
-          var_b += ec.variance;
-          cov += n_pop * n_pop / k_samp *
-                 (h.scan.sum / k_samp -
-                  (h.scan.sum / k_samp) * (k / k_samp)) *
-                 fpc;
-        }
-        if (b <= 0.0) {
-          out.estimate = {0.0, 0.0};
-        } else {
-          const double ratio = a / b;
-          out.estimate.value = ratio;
-          out.estimate.variance = std::max(
-              0.0,
-              (var_a - 2.0 * ratio * cov + ratio * ratio * var_b) / (b * b));
-        }
-      } else {
-        // Paper weights: w_i = N_i / N_q over strata with matches.
-        double n_q = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched > 0) n_q += static_cast<double>(h.stratum->rows);
-        }
-        if (n_q <= 0.0) {
-          out.estimate = {0.0, 0.0};
-          break;
-        }
-        double value = 0.0;
-        double variance = 0.0;
-        for (const Hit& h : hits) {
-          if (h.scan.matched == 0) continue;
-          const double n_pop = static_cast<double>(h.stratum->rows);
-          const double k_samp =
-              static_cast<double>(h.stratum->sample.size());
-          const double k = static_cast<double>(h.scan.matched);
-          const double w = n_pop / n_q;
-          value += (h.scan.sum / k) * w;
-          double v = (h.scan.sum_sq - h.scan.sum * h.scan.sum / k_samp) /
-                     (k * k);
-          if (options_.use_fpc) {
-            v *= FinitePopulationCorrection(n_pop, k_samp);
-          }
-          variance += w * w * std::max(0.0, v);
-        }
-        out.estimate.value = value;
-        out.estimate.variance = variance;
-      }
-      break;
-    }
-    case AggregateType::kMin:
-    case AggregateType::kMax: {
-      const bool is_min = query.agg == AggregateType::kMin;
-      bool seen = false;
-      double best = 0.0;
-      for (const Hit& h : hits) {
-        if (h.scan.matched == 0) continue;
-        const double v = is_min ? h.scan.min : h.scan.max;
-        if (!seen) {
-          best = v;
-          seen = true;
-        } else {
-          best = is_min ? std::min(best, v) : std::max(best, v);
-        }
-      }
-      out.estimate.value = seen ? best : 0.0;
-      break;
-    }
-  }
+  side.ObserveExtremes();
+  out.estimate = EstimateFromStrata(query.agg, side, HardBounds{}, options_);
   return out;
 }
 

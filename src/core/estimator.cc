@@ -20,36 +20,21 @@ double Fpc(double n_pop, double k_samp, bool enabled) {
   return FinitePopulationCorrection(n_pop, k_samp);
 }
 
-/// One partially-overlapped leaf: its population, its sample size, and the
-/// matched-tuple moments of the single scan over its stratified sample.
-/// `scanned` is false when the work budget excluded this leaf — the
-/// estimators then use the same bounds-midpoint fallback a sample-less
-/// leaf always gets.
-struct PartialScan {
-  int32_t node = -1;
-  double n_pop = 0.0;
-  double k_samp = 0.0;
-  bool scanned = false;
-  StratifiedSample::ScanResult scan;
-};
+/// Whether a stratum's sampled moments may enter an estimate. A stratum
+/// without them gets the deterministic fallback instead.
+bool HasScan(const SampledStratum& p) { return p.sample_size > 0.0; }
 
 /// Everything one MCF walk plus one (possibly budget-limited) pass over
 /// the partial-leaf samples yields. Every aggregate estimate below is a
 /// pure function of this, so a fused SUM/COUNT/AVG answer costs exactly
-/// one of these.
+/// one of these. `side.covered` merges the covered and 0-variance nodes;
+/// `side.strata` holds one stratum per partial leaf, in frontier order,
+/// whose sample_size stays 0 until the leaf is scanned.
 struct FrontierScan {
   PartitionTree::Frontier frontier;
-  AggregateStats covered_stats;  // covered + 0-variance nodes merged
-  std::vector<PartialScan> partials;
-  std::optional<double> observed_min;
-  std::optional<double> observed_max;
+  SampledSide side;
   QueryAnswer base;  // shared diagnostics; estimate and bounds left empty
 };
-
-/// Whether a partial leaf's sampled moments may enter an estimate. A leaf
-/// the budget skipped is treated exactly like a leaf that never had a
-/// sample: deterministic fallback instead of sampled estimation.
-bool HasScan(const PartialScan& p) { return p.scanned && p.k_samp > 0.0; }
 
 using SoftDeadline = std::optional<std::chrono::steady_clock::time_point>;
 
@@ -106,18 +91,17 @@ class PlanExecution {
     // Exact side: merge covered aggregates; 0-variance nodes contribute
     // their constant value with their full cardinality (the paper's rule).
     for (const int32_t id : frontier.covered) {
-      fs_.covered_stats.Merge(tree.node(id).stats);
+      fs_.side.covered.Merge(tree.node(id).stats);
     }
     for (const int32_t id : frontier.zero_var) {
-      fs_.covered_stats.Merge(tree.node(id).stats);
+      fs_.side.covered.Merge(tree.node(id).stats);
     }
 
-    fs_.partials.resize(frontier.partial.size());
+    fs_.side.strata.resize(frontier.partial.size());
     for (size_t u = 0; u < units_.size(); ++u) {
-      PartialScan& p = fs_.partials[u];
-      p.node = frontier.partial[u];
-      p.n_pop = static_cast<double>(tree.node(p.node).stats.count);
-      p.k_samp = static_cast<double>(units_[u].cost);  // = sample size
+      SampledStratum& p = fs_.side.strata[u];
+      p.stats = &tree.node(units_[u].node).stats;
+      p.population = static_cast<double>(p.stats->count);
       // Zero-cost units (empty samples) are admitted at every budget
       // level — they do no work — so the walk below meters nonzero units
       // only.
@@ -142,7 +126,7 @@ class PlanExecution {
       // Every unit is admitted whatever the order: scan the rest in
       // frontier order and never build the spend order.
       for (size_t u = 0; u < units_.size(); ++u) {
-        if (!fs_.partials[u].scanned) ScanUnit(u);
+        if (units_[u].cost > 0 && !HasScan(fs_.side.strata[u])) ScanUnit(u);
       }
       used_ = plan_cost_;
       return;
@@ -174,28 +158,13 @@ class PlanExecution {
   /// returns the state every estimator below is a pure function of.
   const FrontierScan& Assemble() {
     QueryAnswer& out = fs_.base;
-    out.sample_rows_scanned = 0;
+    out.sample_rows_scanned = used_;
+    out.truncated = used_ < plan_cost_;
     out.matched_sample_rows = 0;
-    out.truncated = false;
-    fs_.observed_min.reset();
-    fs_.observed_max.reset();
-    for (size_t u = 0; u < fs_.partials.size(); ++u) {
-      const PartialScan& p = fs_.partials[u];
-      if (!p.scanned) {
-        out.truncated = true;
-        continue;
-      }
-      out.sample_rows_scanned += units_[u].cost;
+    for (const SampledStratum& p : fs_.side.strata) {
       out.matched_sample_rows += p.scan.matched;
-      if (p.scan.matched > 0) {
-        fs_.observed_min = fs_.observed_min
-                               ? std::min(*fs_.observed_min, p.scan.min)
-                               : p.scan.min;
-        fs_.observed_max = fs_.observed_max
-                               ? std::max(*fs_.observed_max, p.scan.max)
-                               : p.scan.max;
-      }
     }
+    fs_.side.ObserveExtremes();
     return fs_;
   }
 
@@ -204,14 +173,14 @@ class PlanExecution {
 
  private:
   void ScanUnit(size_t u) {
-    PartialScan& p = fs_.partials[u];
-    const PartitionTree::Node& n = tree_.node(p.node);
+    SampledStratum& p = fs_.side.strata[u];
+    const PartitionTree::Node& n = tree_.node(units_[u].node);
     const StratifiedSample& sample = samples_[static_cast<size_t>(n.leaf_id)];
     // Active-dim pruning: the leaf's tight bounding box proves dims the
     // query fully covers, so the kernel tests contested dims only.
     // Bit-identical to the unpruned scan (see StratifiedSample::Scan).
     p.scan = sample.Scan(predicate_, n.data_bounds);
-    p.scanned = true;
+    p.sample_size = static_cast<double>(units_[u].cost);
   }
 
   const PartitionTree& tree_;
@@ -234,23 +203,29 @@ HardBounds BoundsFor(const PartitionTree& tree, const FrontierScan& fs,
   bound_partials.insert(bound_partials.end(), fs.frontier.zero_var.begin(),
                         fs.frontier.zero_var.end());
   return ComputeHardBounds(tree, fs.frontier.covered, bound_partials, agg,
-                           fs.observed_min, fs.observed_max);
+                           fs.side.observed_min, fs.side.observed_max);
 }
 
-/// SUM/COUNT estimate over a scanned frontier: exact covered contribution
-/// plus one stratum estimator per scanned partial leaf. A leaf with no
-/// sample — or one the budget left unscanned — falls back to the midpoint
-/// of its deterministic contribution bounds, with the variance of a
-/// uniform distribution over that range.
-Estimate AdditiveEstimate(const PartitionTree& tree, const FrontierScan& fs,
-                          bool is_sum, bool use_fpc) {
+void SetHardBounds(const HardBounds& hard, QueryAnswer* out) {
+  if (!hard.valid) return;
+  out->hard_lb = hard.lb;
+  out->hard_ub = hard.ub;
+}
+
+/// SUM/COUNT estimate: exact covered contribution plus one stratum
+/// estimator per stratum with sample evidence. A stratum without it falls
+/// back to the midpoint of its deterministic contribution bounds, with
+/// the variance of a uniform distribution over that range.
+Estimate AdditiveEstimate(const SampledSide& side, bool is_sum,
+                          bool use_fpc) {
   Estimate out;
-  double value = is_sum ? fs.covered_stats.sum
-                        : static_cast<double>(fs.covered_stats.count);
+  double value =
+      is_sum ? side.covered.sum : static_cast<double>(side.covered.count);
   double variance = 0.0;
-  for (const PartialScan& p : fs.partials) {
+  for (const SampledStratum& p : side.strata) {
     if (!HasScan(p)) {
-      const AggregateStats& s = tree.node(p.node).stats;
+      if (p.stats == nullptr) continue;
+      const AggregateStats& s = *p.stats;
       const double cnt = static_cast<double>(s.count);
       double lo;
       double hi;
@@ -270,7 +245,7 @@ Estimate AdditiveEstimate(const PartitionTree& tree, const FrontierScan& fs,
     const double ss =
         is_sum ? p.scan.sum_sq : static_cast<double>(p.scan.matched);
     const StratumEstimate est =
-        EstimateStratumSum(p.n_pop, p.k_samp, s, ss, use_fpc);
+        EstimateStratumSum(p.population, p.sample_size, s, ss, use_fpc);
     value += est.value;
     variance += est.variance;
   }
@@ -280,38 +255,72 @@ Estimate AdditiveEstimate(const PartitionTree& tree, const FrontierScan& fs,
 }
 
 /// Exact Cov(SUM estimator, COUNT estimator), summed over the independent
-/// partial strata: per stratum n²·Cov_sample(φ·a, φ)/k·fpc, where
-/// E[(φa)·φ] = E[φa] because the match indicator φ is 0/1. Covered nodes
-/// are deterministic (no covariance); sample-less and budget-skipped
-/// leaves use independent midpoint fallbacks for SUM and COUNT and
-/// contribute 0.
-double SumCountCovariance(const FrontierScan& fs, bool use_fpc) {
+/// strata: per stratum n²·Cov_sample(φ·a, φ)/k·fpc, where E[(φa)·φ] =
+/// E[φa] because the match indicator φ is 0/1. Covered aggregates are
+/// deterministic (no covariance); strata without sample evidence use
+/// independent midpoint fallbacks for SUM and COUNT and contribute 0.
+double SumCountCovariance(const SampledSide& side, bool use_fpc) {
   double cov = 0.0;
-  for (const PartialScan& p : fs.partials) {
+  for (const SampledStratum& p : side.strata) {
     if (!HasScan(p)) continue;
     const double k = static_cast<double>(p.scan.matched);
-    const double mean_x = p.scan.sum / p.k_samp;
-    const double mean_y = k / p.k_samp;
-    const double cov_sample = p.scan.sum / p.k_samp - mean_x * mean_y;
-    cov += p.n_pop * p.n_pop * cov_sample / p.k_samp *
-           Fpc(p.n_pop, p.k_samp, use_fpc);
+    const double mean_x = p.scan.sum / p.sample_size;
+    const double mean_y = k / p.sample_size;
+    const double cov_sample = p.scan.sum / p.sample_size - mean_x * mean_y;
+    cov += p.population * p.population * cov_sample / p.sample_size *
+           Fpc(p.population, p.sample_size, use_fpc);
   }
   return cov;
 }
 
-/// Delta-method ratio SUM/COUNT. With no evidence of any matching tuple it
-/// reports the hard-bound midpoint if available, else 0, with zero
-/// confidence.
-Estimate RatioEstimate(const Estimate& sum, const Estimate& count,
-                       double cov, const HardBounds& hard) {
-  if (count.value <= 0.0) {
+/// The paper's Section 2.2 / 3.3 AVG: per-stratum means combined with
+/// weights w_i = N_i / N_q over the covered aggregates and the strata
+/// with at least one matched sample row (a stratum without sample
+/// evidence drops out of the weights), variance sum of w_i² · V_i(q).
+Estimate PaperWeightsAvg(const SampledSide& side, const HardBounds& hard,
+                         bool use_fpc) {
+  double n_q = static_cast<double>(side.covered.count);
+  for (const SampledStratum& p : side.strata) {
+    if (p.scan.matched > 0) n_q += p.population;
+  }
+  if (n_q <= 0.0) {
     return hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
   }
-  const double ratio = sum.value / count.value;
-  const double var =
-      (sum.variance - 2.0 * ratio * cov + ratio * ratio * count.variance) /
-      (count.value * count.value);
-  return {ratio, std::max(var, 0.0)};
+  double value = side.covered.count > 0
+                     ? side.covered.Mean() *
+                           (static_cast<double>(side.covered.count) / n_q)
+                     : 0.0;
+  double variance = 0.0;
+  for (const SampledStratum& p : side.strata) {
+    if (p.scan.matched == 0) continue;
+    const double k = static_cast<double>(p.scan.matched);
+    const double w = p.population / n_q;
+    value += (p.scan.sum / k) * w;
+    // V_i(q) = (ss - s^2/K) / k^2 (Section 4.2.1 via phi scaling).
+    double v =
+        (p.scan.sum_sq - p.scan.sum * p.scan.sum / p.sample_size) / (k * k);
+    v = std::max(v, 0.0) * Fpc(p.population, p.sample_size, use_fpc);
+    variance += w * w * v;
+  }
+  return {value, variance};
+}
+
+/// MIN/MAX point estimate: the best value among the covered aggregates
+/// (their extrema are attained by matching tuples) and the matched sample
+/// rows. No CLT interval; the hard bounds carry the uncertainty.
+Estimate ExtremumEstimate(const SampledSide& side, bool is_min,
+                          const HardBounds& hard) {
+  double best = is_min ? kInf : -kInf;
+  if (side.covered.count > 0) {
+    best = is_min ? side.covered.min : side.covered.max;
+  }
+  if (is_min && side.observed_min) best = std::min(best, *side.observed_min);
+  if (!is_min && side.observed_max) best = std::max(best, *side.observed_max);
+  if (best == kInf || best == -kInf) {
+    // Nothing observed: report the midpoint of the hard bounds.
+    best = hard.valid ? 0.5 * (hard.lb + hard.ub) : 0.0;
+  }
+  return {best, 0.0};
 }
 
 /// The fused SUM/COUNT/AVG assembly over a (possibly partially) scanned
@@ -327,28 +336,18 @@ MultiAnswer MultiFromFrontier(const PartitionTree& tree,
   out.count = fs.base;
   out.avg = fs.base;
 
-  HardBounds avg_hard;
-  if (opts.compute_hard_bounds) {
-    const HardBounds sum_hard = BoundsFor(tree, fs, AggregateType::kSum);
-    if (sum_hard.valid) {
-      out.sum.hard_lb = sum_hard.lb;
-      out.sum.hard_ub = sum_hard.ub;
-    }
-    const HardBounds count_hard = BoundsFor(tree, fs, AggregateType::kCount);
-    if (count_hard.valid) {
-      out.count.hard_lb = count_hard.lb;
-      out.count.hard_ub = count_hard.ub;
-    }
-    avg_hard = BoundsFor(tree, fs, AggregateType::kAvg);
-    if (avg_hard.valid) {
-      out.avg.hard_lb = avg_hard.lb;
-      out.avg.hard_ub = avg_hard.ub;
-    }
-  }
+  const HardBounds sum_hard = BoundsFor(tree, fs, AggregateType::kSum);
+  const HardBounds count_hard = BoundsFor(tree, fs, AggregateType::kCount);
+  const HardBounds avg_hard = BoundsFor(tree, fs, AggregateType::kAvg);
+  SetHardBounds(sum_hard, &out.sum);
+  SetHardBounds(count_hard, &out.count);
+  SetHardBounds(avg_hard, &out.avg);
 
-  out.sum.estimate = AdditiveEstimate(tree, fs, true, opts.use_fpc);
-  out.count.estimate = AdditiveEstimate(tree, fs, false, opts.use_fpc);
-  out.sum_count_cov = SumCountCovariance(fs, opts.use_fpc);
+  out.sum.estimate =
+      EstimateFromStrata(AggregateType::kSum, fs.side, sum_hard, opts);
+  out.count.estimate =
+      EstimateFromStrata(AggregateType::kCount, fs.side, count_hard, opts);
+  out.sum_count_cov = SumCountCovariance(fs.side, opts.use_fpc);
   out.avg.estimate = RatioEstimate(out.sum.estimate, out.count.estimate,
                                    out.sum_count_cov, avg_hard);
   return out;
@@ -414,6 +413,55 @@ StratumEstimate EstimateStratumSum(double n_pop, double k_samp, double s,
   return out;
 }
 
+void SampledSide::ObserveExtremes() {
+  observed_min.reset();
+  observed_max.reset();
+  for (const SampledStratum& p : strata) {
+    if (p.scan.matched == 0) continue;
+    observed_min = observed_min ? std::min(*observed_min, p.scan.min)
+                                : p.scan.min;
+    observed_max = observed_max ? std::max(*observed_max, p.scan.max)
+                                : p.scan.max;
+  }
+}
+
+Estimate RatioEstimate(const Estimate& sum, const Estimate& count, double cov,
+                       const HardBounds& hard) {
+  if (count.value <= 0.0) {
+    return hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
+  }
+  const double ratio = sum.value / count.value;
+  const double var =
+      (sum.variance - 2.0 * ratio * cov + ratio * ratio * count.variance) /
+      (count.value * count.value);
+  return {ratio, std::max(var, 0.0)};
+}
+
+Estimate EstimateFromStrata(AggregateType agg, const SampledSide& side,
+                            const HardBounds& hard,
+                            const EstimatorOptions& opts) {
+  switch (agg) {
+    case AggregateType::kSum:
+    case AggregateType::kCount:
+      return AdditiveEstimate(side, agg == AggregateType::kSum, opts.use_fpc);
+    case AggregateType::kAvg:
+      if (opts.avg_mode == AvgMode::kPaperWeights) {
+        return PaperWeightsAvg(side, hard, opts.use_fpc);
+      }
+      // The ratio of the additive SUM and COUNT estimators with their
+      // exact covariance — so a stratum without sample evidence falls
+      // back to the same bounds midpoint the SUM/COUNT paths use instead
+      // of silently dropping known population mass.
+      return RatioEstimate(AdditiveEstimate(side, true, opts.use_fpc),
+                           AdditiveEstimate(side, false, opts.use_fpc),
+                           SumCountCovariance(side, opts.use_fpc), hard);
+    case AggregateType::kMin:
+    case AggregateType::kMax:
+      return ExtremumEstimate(side, agg == AggregateType::kMin, hard);
+  }
+  return {};
+}
+
 QueryAnswer AnswerOverPlan(const PartitionTree& tree,
                            const std::vector<StratifiedSample>& samples,
                            WorkPlan plan, const Query& query,
@@ -426,90 +474,9 @@ QueryAnswer AnswerOverPlan(const PartitionTree& tree,
   const FrontierScan& fs = run.Assemble();
 
   QueryAnswer out = fs.base;
-  HardBounds hard;
-  if (opts.compute_hard_bounds) {
-    hard = BoundsFor(tree, fs, query.agg);
-    if (hard.valid) {
-      out.hard_lb = hard.lb;
-      out.hard_ub = hard.ub;
-    }
-  }
-
-  switch (query.agg) {
-    case AggregateType::kSum:
-    case AggregateType::kCount:
-      out.estimate = AdditiveEstimate(
-          tree, fs, query.agg == AggregateType::kSum, opts.use_fpc);
-      break;
-
-    case AggregateType::kAvg: {
-      if (opts.avg_mode == AvgMode::kRatio) {
-        // The ratio of the additive SUM and COUNT estimators over this
-        // frontier with their exact covariance — so a sample-less partial
-        // leaf falls back to the same bounds midpoint the SUM/COUNT paths
-        // use instead of silently dropping known population mass.
-        const Estimate sum = AdditiveEstimate(tree, fs, true, opts.use_fpc);
-        const Estimate count =
-            AdditiveEstimate(tree, fs, false, opts.use_fpc);
-        out.estimate = RatioEstimate(
-            sum, count, SumCountCovariance(fs, opts.use_fpc), hard);
-      } else {
-        // Paper weights: relevant partitions are the covered + 0-variance
-        // nodes and the partial leaves with at least one matched sample
-        // (budget-skipped leaves behave like no-match leaves and drop out
-        // of the weights).
-        double n_q = static_cast<double>(fs.covered_stats.count);
-        for (const PartialScan& p : fs.partials) {
-          if (p.scan.matched > 0) n_q += p.n_pop;
-        }
-        if (n_q <= 0.0) {
-          out.estimate =
-              hard.valid ? MidpointOverBounds(hard.lb, hard.ub) : Estimate{};
-          break;
-        }
-        double value =
-            fs.covered_stats.count > 0
-                ? fs.covered_stats.Mean() *
-                      (static_cast<double>(fs.covered_stats.count) / n_q)
-                : 0.0;
-        double variance = 0.0;
-        for (const PartialScan& p : fs.partials) {
-          if (p.scan.matched == 0) continue;
-          const double k = static_cast<double>(p.scan.matched);
-          const double w = p.n_pop / n_q;
-          value += (p.scan.sum / k) * w;
-          // V_i(q) = (ss - s^2/K) / k^2 (Section 4.2.1 via phi scaling).
-          double v = (p.scan.sum_sq - p.scan.sum * p.scan.sum / p.k_samp) /
-                     (k * k);
-          v = std::max(v, 0.0) * Fpc(p.n_pop, p.k_samp, opts.use_fpc);
-          variance += w * w * v;
-        }
-        out.estimate.value = value;
-        out.estimate.variance = variance;
-      }
-      break;
-    }
-
-    case AggregateType::kMin:
-    case AggregateType::kMax: {
-      // Point estimate: best value observed among covered partitions (their
-      // extrema are attained by matching tuples) and matched sample rows.
-      const bool is_min = query.agg == AggregateType::kMin;
-      double best = is_min ? kInf : -kInf;
-      if (fs.covered_stats.count > 0) {
-        best = is_min ? fs.covered_stats.min : fs.covered_stats.max;
-      }
-      if (is_min && fs.observed_min) best = std::min(best, *fs.observed_min);
-      if (!is_min && fs.observed_max) best = std::max(best, *fs.observed_max);
-      if (best == kInf || best == -kInf) {
-        // Nothing observed: report the midpoint of the hard bounds.
-        best = hard.valid ? 0.5 * (hard.lb + hard.ub) : 0.0;
-      }
-      out.estimate.value = best;
-      out.estimate.variance = 0.0;  // no CLT interval; use the hard bounds
-      break;
-    }
-  }
+  const HardBounds hard = BoundsFor(tree, fs, query.agg);
+  SetHardBounds(hard, &out);
+  out.estimate = EstimateFromStrata(query.agg, fs.side, hard, opts);
   return out;
 }
 

@@ -3,15 +3,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/aggregate_stats.h"
 #include "core/answer.h"
 #include "core/estimation_session.h"
+#include "core/hard_bounds.h"
 #include "core/partition_tree.h"
 #include "core/query.h"
 #include "core/stratified_sample.h"
 #include "core/work_budget.h"
-#include "stats/confidence.h"
 
 namespace pass {
 
@@ -32,11 +34,9 @@ class KernelCache;
 /// Estimator configuration shared by the Synopsis and the baselines that
 /// reuse stratified estimation.
 struct EstimatorOptions {
-  double lambda = kLambda99;  // CI multiplier; paper uses 2.576 (99%)
   AvgMode avg_mode = AvgMode::kRatio;
   bool zero_variance_rule = true;  // Section 3.4, AVG only
   bool use_fpc = true;             // finite population correction
-  bool compute_hard_bounds = true;
 
   /// Ignored: a compatibility no-op (see jit/kernel_cache.h). Every leaf
   /// scan runs through ScanColumns.
@@ -136,8 +136,55 @@ std::unique_ptr<EstimationSession> StartTreeSession(
     WorkPlan plan, Rect predicate, const EstimatorOptions& opts,
     uint64_t seed);
 
-/// Per-stratum moments used by SUM/COUNT estimation; exposed for reuse by
-/// baselines (stratified sampling shares the math).
+/// One sampled stratum of a query: `population` rows represented by a
+/// uniform sample of `sample_size` rows, over which the query's predicate
+/// matched the moments in `scan`. A stratum without sample evidence
+/// (sample_size 0: an empty sample, or one a work budget left unscanned)
+/// falls back to the midpoint of its deterministic SUM/COUNT contribution
+/// bounds from `stats`, the stratum's exact aggregates; with no `stats` it
+/// contributes nothing.
+struct SampledStratum {
+  double population = 0.0;
+  double sample_size = 0.0;
+  StratifiedSample::ScanResult scan;
+  const AggregateStats* stats = nullptr;
+};
+
+/// Everything a query's estimate is assembled from besides its hard
+/// bounds: the exact aggregates of what it covers, one stratum per sampled
+/// part, and the extremes its matched sample rows showed. PASS passes its
+/// covered nodes and one stratum per partial leaf; US one stratum over the
+/// table; ST the strata the predicate intersects; AQP++ and KD-US their
+/// covered partitions plus one uniform "gap" stratum.
+struct SampledSide {
+  AggregateStats covered;
+  std::vector<SampledStratum> strata;
+  std::optional<double> observed_min;
+  std::optional<double> observed_max;
+
+  /// Sets observed_min/observed_max from the strata with matched rows.
+  void ObserveExtremes();
+};
+
+/// The one estimate assembly of every sampling engine (Section 3.3):
+/// exact covered aggregates plus one stratum estimator per sampled
+/// stratum. SUM and COUNT add the strata; AVG is their ratio with the
+/// delta-method variance over the exact Cov(SUM, COUNT) under
+/// AvgMode::kRatio, or the paper's per-stratum weights under
+/// kPaperWeights; MIN/MAX report the best covered or observed value. With
+/// no evidence of a matching tuple, AVG, MIN and MAX report the midpoint
+/// of `hard` when it is valid, else 0.
+Estimate EstimateFromStrata(AggregateType agg, const SampledSide& side,
+                            const HardBounds& hard,
+                            const EstimatorOptions& opts);
+
+/// The delta-method ratio SUM/COUNT given Cov(SUM, COUNT). With no
+/// evidence of a matching tuple (count <= 0) it reports the midpoint of
+/// `hard` if valid, else 0.
+Estimate RatioEstimate(const Estimate& sum, const Estimate& count, double cov,
+                       const HardBounds& hard);
+
+/// Per-stratum SUM estimate: the value and variance one stratum adds.
 struct StratumEstimate {
   double value = 0.0;
   double variance = 0.0;

@@ -58,7 +58,6 @@ SystemResult MakeAggUniform(const Dataset& data, const EngineConfig& config) {
 
 SystemResult MakeSpn(const Dataset& data, const EngineConfig& config) {
   SpnSystem::Options options;
-  options.train_fraction = config.spn_train_fraction;
   options.seed = config.seed;
   return std::unique_ptr<AqpSystem>(new SpnSystem(data, options));
 }

@@ -28,8 +28,6 @@ enum class PartitionStrategy {
   kDpExact,
   /// Greedy kd-tree expansion by approximate max-variance leaf (KD-PASS).
   kKdGreedy,
-  /// Breadth-first kd-tree expansion (the balanced tree used by KD-US).
-  kKdBreadthFirst,
 };
 
 inline const char* StrategyName(PartitionStrategy s) {
@@ -44,8 +42,6 @@ inline const char* StrategyName(PartitionStrategy s) {
       return "dp-exact";
     case PartitionStrategy::kKdGreedy:
       return "kd-greedy";
-    case PartitionStrategy::kKdBreadthFirst:
-      return "kd-bf";
   }
   return "?";
 }

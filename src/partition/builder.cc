@@ -43,39 +43,6 @@ std::vector<size_t> EffectiveDims(const Dataset& data,
   return dims;
 }
 
-/// Maps cut positions found on the sorted optimization sample back to the
-/// full sorted dataset: the cut after sample index c-1 becomes "every row
-/// with predicate value <= sample_pred[c-1] goes left".
-std::vector<size_t> MapSampleCutsToData(
-    const std::vector<size_t>& sample_cuts,
-    const std::vector<double>& sample_pred, const std::vector<double>& col,
-    const std::vector<uint32_t>& perm) {
-  const size_t n = perm.size();
-  std::vector<size_t> cuts;
-  cuts.push_back(0);
-  for (size_t ci = 1; ci + 1 < sample_cuts.size(); ++ci) {
-    const size_t c = sample_cuts[ci];
-    if (c == 0 || c >= sample_pred.size()) continue;
-    const double threshold = sample_pred[c - 1];
-    // First position in the sorted permutation with value > threshold.
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (col[perm[mid]] <= threshold) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    cuts.push_back(lo);
-  }
-  cuts.push_back(n);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  return cuts;
-}
-
 Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
                                               const BuildOptions& options,
                                               size_t dim) {
@@ -86,12 +53,9 @@ Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
 
   std::vector<size_t> cuts;
   switch (options.strategy) {
-    case PartitionStrategy::kEqualDepth: {
-      for (const size_t pos : EqualDepthBoundaries(n, k)) {
-        cuts.push_back(SnapToValueChange(col, perm, pos));
-      }
+    case PartitionStrategy::kEqualDepth:
+      cuts = SnappedEqualDepthCuts(col, perm, k);
       break;
-    }
     case PartitionStrategy::kEqualWidth: {
       const double lo = col[perm.front()];
       const double hi = col[perm.back()];
@@ -113,24 +77,13 @@ Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
           options.strategy == PartitionStrategy::kAdp) {
         // Lemma A.1: equal-size partitions are optimal for COUNT in 1D; no
         // DP needed.
-        for (const size_t pos : EqualDepthBoundaries(n, k)) {
-          cuts.push_back(SnapToValueChange(col, perm, pos));
-        }
+        cuts = SnappedEqualDepthCuts(col, perm, k);
         break;
       }
-      Rng rng(options.seed);
-      const size_t m = std::min(options.opt_sample_size, n);
-      const std::vector<size_t> picks = SampleWithoutReplacement(n, m, &rng);
-      // Sampling positions of the sorted permutation keeps the sample
-      // sorted by predicate value for free.
-      std::vector<double> sample_pred(m);
-      std::vector<double> sample_agg(m);
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t row = perm[picks[i]];
-        sample_pred[i] = col[row];
-        sample_agg[i] = data.agg(row);
-      }
-      const PrefixSums prefix(sample_agg);
+      const SortedOptSample sample = DrawSortedOptSample(
+          data, perm, dim, options.opt_sample_size, options.seed);
+      const size_t m = sample.pred.size();
+      const PrefixSums prefix(sample.agg);
       const double ratio = static_cast<double>(n) / static_cast<double>(m);
       const SampleVariance var(&prefix, ratio);
       const size_t window = std::max<size_t>(
@@ -154,11 +107,10 @@ Result<PartitionBuildResult> Build1DPartition(const Dataset& data,
         };
       }
       const DpResult dp = DpPartition1D(m, k, oracle);
-      cuts = MapSampleCutsToData(dp.boundaries, sample_pred, col, perm);
+      cuts = MapSampleCutsToData(dp.boundaries, sample.pred, col, perm);
       break;
     }
     case PartitionStrategy::kKdGreedy:
-    case PartitionStrategy::kKdBreadthFirst:
       return Status::Internal("kd strategies handled by the kd path");
   }
 
@@ -185,7 +137,6 @@ Result<PartitionBuildResult> BuildKdPath(const Dataset& data,
   kd.max_depth_imbalance = options.max_depth_imbalance;
   kd.seed = options.seed;
   switch (options.strategy) {
-    case PartitionStrategy::kKdBreadthFirst:
     case PartitionStrategy::kEqualDepth:
     case PartitionStrategy::kEqualWidth:
       kd.expansion = KdExpansion::kBreadthFirst;
@@ -209,10 +160,7 @@ Result<PartitionBuildResult> BuildPartitionOnly(const Dataset& data,
   Status status = ValidateOptions(data, options);
   if (!status.ok()) return status;
   const std::vector<size_t> dims = EffectiveDims(data, options);
-  const bool kd_strategy =
-      options.strategy == PartitionStrategy::kKdGreedy ||
-      options.strategy == PartitionStrategy::kKdBreadthFirst;
-  if (dims.size() == 1 && !kd_strategy) {
+  if (dims.size() == 1 && options.strategy != PartitionStrategy::kKdGreedy) {
     return Build1DPartition(data, options, dims[0]);
   }
   return BuildKdPath(data, options, dims);

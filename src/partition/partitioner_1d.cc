@@ -4,6 +4,9 @@
 #include <limits>
 
 #include "common/macros.h"
+#include "common/rng.h"
+#include "partition/hierarchy.h"
+#include "stats/sampling.h"
 
 namespace pass {
 
@@ -16,6 +19,67 @@ std::vector<size_t> EqualDepthBoundaries(size_t n, size_t k) {
   }
   cuts.front() = 0;
   cuts.back() = n;
+  return cuts;
+}
+
+std::vector<size_t> SnappedEqualDepthCuts(const std::vector<double>& column,
+                                          const std::vector<uint32_t>& perm,
+                                          size_t k) {
+  std::vector<size_t> cuts;
+  for (const size_t pos : EqualDepthBoundaries(perm.size(), k)) {
+    cuts.push_back(SnapToValueChange(column, perm, pos));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+SortedOptSample DrawSortedOptSample(const Dataset& data,
+                                    const std::vector<uint32_t>& perm,
+                                    size_t dim, size_t m, uint64_t seed) {
+  const size_t n = perm.size();
+  m = std::min(m, n);
+  Rng rng(seed);
+  const std::vector<size_t> picks = SampleWithoutReplacement(n, m, &rng);
+  const std::vector<double>& column = data.pred_column(dim);
+  SortedOptSample out;
+  out.pred.resize(m);
+  out.agg.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t row = perm[picks[i]];
+    out.pred[i] = column[row];
+    out.agg[i] = data.agg(row);
+  }
+  return out;
+}
+
+std::vector<size_t> MapSampleCutsToData(const std::vector<size_t>& sample_cuts,
+                                        const std::vector<double>& sample_pred,
+                                        const std::vector<double>& column,
+                                        const std::vector<uint32_t>& perm) {
+  const size_t n = perm.size();
+  std::vector<size_t> cuts;
+  cuts.push_back(0);
+  for (size_t ci = 1; ci + 1 < sample_cuts.size(); ++ci) {
+    const size_t c = sample_cuts[ci];
+    if (c == 0 || c >= sample_pred.size()) continue;
+    const double threshold = sample_pred[c - 1];
+    // First position in the sorted permutation with value > threshold.
+    size_t lo = 0;
+    size_t hi = n;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (column[perm[mid]] <= threshold) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    cuts.push_back(lo);
+  }
+  cuts.push_back(n);
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   return cuts;
 }
 

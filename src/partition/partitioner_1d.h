@@ -1,11 +1,13 @@
 #ifndef PASS_PARTITION_PARTITIONER_1D_H_
 #define PASS_PARTITION_PARTITIONER_1D_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "partition/max_variance.h"
 #include "partition/variance.h"
+#include "storage/dataset.h"
 
 namespace pass {
 
@@ -28,6 +30,36 @@ struct DpResult {
 /// both the EQ baseline of Section 5.3 and the provably optimal COUNT
 /// partitioning (Lemma A.1).
 std::vector<size_t> EqualDepthBoundaries(size_t n, size_t k);
+
+/// Equal-depth cuts over the rows of `column` sorted by `perm`, each
+/// snapped to a value change (SnapToValueChange), then sorted and
+/// deduplicated: at most k partitions, and a run of equal values never
+/// straddles a cut. Starts at 0 and ends at perm.size().
+std::vector<size_t> SnappedEqualDepthCuts(const std::vector<double>& column,
+                                          const std::vector<uint32_t>& perm,
+                                          size_t k);
+
+/// A uniform optimization sample of min(m, N) rows (Section 4.2), drawn
+/// as positions of the sorted permutation with Rng(seed) so it comes out
+/// sorted by predicate value: `pred` holds the partition column's values
+/// and `agg` the aggregation column's.
+struct SortedOptSample {
+  std::vector<double> pred;
+  std::vector<double> agg;
+};
+SortedOptSample DrawSortedOptSample(const Dataset& data,
+                                    const std::vector<uint32_t>& perm,
+                                    size_t dim, size_t m, uint64_t seed);
+
+/// Maps cut positions found on a sorted optimization sample back to the
+/// full sorted dataset: the cut after sample index c-1 becomes "every row
+/// with predicate value <= sample_pred[c-1] goes left". Only the internal
+/// cuts are mapped; the result starts at 0, ends at perm.size(), and is
+/// sorted and deduplicated.
+std::vector<size_t> MapSampleCutsToData(const std::vector<size_t>& sample_cuts,
+                                        const std::vector<double>& sample_pred,
+                                        const std::vector<double>& column,
+                                        const std::vector<uint32_t>& perm);
 
 /// The exact dynamic program of Section 4.3 ("strawman"): enumerates every
 /// sub-query through ExactMaxVariance. O(k m^4) — small inputs only; used

@@ -244,5 +244,46 @@ TEST(KdUs, EssIsWholeSampleEveryQuery) {
   EXPECT_EQ(kdus.Answer(q).sample_rows_scanned, kdus.sample_size());
 }
 
+// ---------------------------------------------------------------------------
+// Every sampling baseline assembles its AVG from its own SUM and COUNT
+// ---------------------------------------------------------------------------
+
+TEST(SamplingBaselines, RatioAvgIsTheSumCountQuotientBitForBit) {
+  const Dataset data = MakeTaxiLike(20000, 101).WithPredDims(2);
+  AqpPlusPlusOptions aqp_options;
+  aqp_options.num_partitions = 16;
+  aqp_options.sample_rate = 0.01;
+  KdUsOptions kd_options;
+  kd_options.partition_dims = {0, 1};
+  kd_options.max_leaves = 16;
+  kd_options.sample_rate = 0.01;
+  const UniformSamplingSystem us(data, 0.01, 102);
+  const StratifiedSamplingSystem st(data, 16, 0.01, 0, 103);
+  const AggregatePlusUniformSystem aqp = MakeAqpPlusPlus(data, aqp_options);
+  const AggregatePlusUniformSystem kdus = MakeKdUs(data, kd_options);
+  const std::vector<const AqpSystem*> systems = {&us, &st, &aqp, &kdus};
+
+  WorkloadOptions wl;
+  wl.count = 40;
+  wl.template_dims = {0, 1};
+  wl.seed = 104;
+  for (const AqpSystem* system : systems) {
+    size_t checked = 0;
+    for (const Query& q : RandomRangeQueries(data, wl)) {
+      const double sum =
+          system->Answer({AggregateType::kSum, q.predicate}).estimate.value;
+      const double count =
+          system->Answer({AggregateType::kCount, q.predicate}).estimate.value;
+      if (count <= 0.0) continue;
+      ++checked;
+      EXPECT_EQ(
+          system->Answer({AggregateType::kAvg, q.predicate}).estimate.value,
+          sum / count)
+          << system->Name() << " " << q.ToString();
+    }
+    EXPECT_GT(checked, 20u) << system->Name();
+  }
+}
+
 }  // namespace
 }  // namespace pass

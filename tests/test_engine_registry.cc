@@ -1,12 +1,14 @@
 #include "engine/engine_registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/exact.h"
 #include "data/generators.h"
 #include "engine/exact_system.h"
@@ -63,6 +65,58 @@ TEST(EngineRegistry, EveryBuiltinConstructsAndAnswers) {
     } else {
       EXPECT_LT(rel, 0.5) << name << " answered " << answer.estimate.value
                           << " vs truth " << truth.value;
+    }
+  }
+}
+
+// Ranges 0.05% of a column wide leave most sample-based answers without a
+// matched sample row. Whatever an engine falls back to then, an answer
+// that carries hard bounds must estimate inside them. COUNT, AVG, MIN and
+// MAX estimates are checked always; a SUM estimate only without matched
+// sample rows, since a stratum's sampled N_i·Σa/k_i may exceed its
+// partition's total.
+TEST(EngineRegistry, EstimatesStayInsideTheirHardBounds) {
+  const Dataset data = MakeTaxiLike(20000, /*seed=*/9);
+  EngineConfig config;
+  config.sample_rate = 0.002;
+  config.partitions = 16;
+  const std::vector<double>& col = data.pred_column(0);
+  const double lo = *std::min_element(col.begin(), col.end());
+  const double hi = *std::max_element(col.begin(), col.end());
+  const double width = 0.0005 * (hi - lo);
+  Rng rng(/*seed=*/21);
+  std::vector<Rect> ranges;
+  for (int i = 0; i < 100; ++i) {
+    const double start = rng.UniformDouble(lo, hi - width);
+    Rect r = Rect::All(data.NumPredDims());
+    r.dim(0) = Interval{start, start + width};
+    ranges.push_back(r);
+  }
+  for (const std::string& name : BuiltinNames()) {
+    auto engine = EngineRegistry::Global().Create(name, data, config);
+    ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
+    for (const AggregateType agg :
+         {AggregateType::kSum, AggregateType::kCount, AggregateType::kAvg,
+          AggregateType::kMin, AggregateType::kMax}) {
+      size_t bounded = 0;
+      size_t outside = 0;
+      for (const Rect& range : ranges) {
+        const QueryAnswer answer = (*engine)->Answer(Query{agg, range});
+        if (!answer.hard_lb || !answer.hard_ub) continue;
+        if (agg == AggregateType::kSum && answer.matched_sample_rows > 0) {
+          continue;
+        }
+        ++bounded;
+        const double slack = 1e-9 * (1.0 + std::abs(*answer.hard_lb) +
+                                     std::abs(*answer.hard_ub));
+        if (answer.estimate.value < *answer.hard_lb - slack ||
+            answer.estimate.value > *answer.hard_ub + slack) {
+          ++outside;
+        }
+      }
+      EXPECT_EQ(outside, 0u) << name << " " << AggregateName(agg) << ": "
+                             << outside << " of " << bounded
+                             << " bounded answers lie outside their bounds";
     }
   }
 }
