@@ -23,7 +23,7 @@
 #include "core/exact.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/engine_registry.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
@@ -54,7 +54,7 @@ inline constexpr double kSampleRate = 0.005;
 inline constexpr size_t kPartitions = 64;
 inline constexpr double kLambda = 2.576;  // 99% CI
 
-/// Workload evaluation runs through the BatchExecutor; PASS_EVAL_THREADS
+/// Workload evaluation runs through RunBatch; PASS_EVAL_THREADS
 /// picks the pool size (default 1 = the paper's sequential measurements,
 /// 0 = hardware concurrency).
 inline size_t EvalThreads() {

@@ -1,5 +1,5 @@
 /// Serving-path micro benchmark: every registered engine answers the same
-/// workload through the BatchExecutor. Reports per-method build time, p50 /
+/// workload through RunBatch. Reports per-method build time, p50 /
 /// p95 query latency, relative error, and batch throughput at one thread
 /// vs. the full pool, plus kernel timings (MCF index walk, synopsis
 /// construction, streaming insert) backing the complexity claims of
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "cache/semantic_answer_cache.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/query_scheduler.h"
@@ -138,8 +139,8 @@ int main() {
   config.sample_rate = kSampleRate;
   config.partitions = kPartitions;
 
-  const BatchExecutor& sequential = BatchExecutor::Shared(/*num_threads=*/1);
-  const BatchExecutor& parallel = BatchExecutor::Shared(/*num_threads=*/0);
+  QueryScheduler& sequential = QueryScheduler::Shared(/*num_threads=*/1);
+  QueryScheduler& parallel = QueryScheduler::Shared(/*num_threads=*/0);
 
   std::vector<MethodRow> rows;
   TablePrinter table({"method", "build_s", "p50_ms", "p95_ms", "med_rel_err",
@@ -150,10 +151,10 @@ int main() {
 
     // Untimed warm-up so the sequential-vs-parallel comparison is not
     // biased by first-touch page-ins landing on whichever runs first.
-    (void)sequential.Run(*engine, queries);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(seq, truths);
+    (void)RunBatch(sequential, *engine, queries);
+    const BatchResult seq = RunBatch(sequential, *engine, queries);
+    const BatchResult par = RunBatch(parallel, *engine, queries);
+    const BatchErrorSummary err = ScoreBatch(seq, truths);
     const SystemCosts costs = engine->Costs();
 
     MethodRow row;
@@ -202,10 +203,10 @@ int main() {
     shard_config.num_shards = k;
     const std::unique_ptr<AqpSystem> engine =
         MustMakeEngine("sharded_pass", data, shard_config);
-    (void)sequential.Run(*engine, queries);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(seq, truths);
+    (void)RunBatch(sequential, *engine, queries);
+    const BatchResult seq = RunBatch(sequential, *engine, queries);
+    const BatchResult par = RunBatch(parallel, *engine, queries);
+    const BatchErrorSummary err = ScoreBatch(seq, truths);
     const SystemCosts costs = engine->Costs();
 
     MethodRow row;
@@ -328,6 +329,7 @@ int main() {
       cache_config.cache.max_exact_entries = pool.size();  // no eviction
       const std::unique_ptr<AqpSystem> engine =
           MustMakeEngine("pass", data, cache_config);
+      PASS_CHECK(engine->AnswerCache() != nullptr);
       for (const char* pass_name : {"cold", "warm", "hot"}) {
         std::vector<std::vector<double>> client_run_ms(clients);
         Stopwatch wall;
@@ -345,7 +347,6 @@ int main() {
               ScheduledAnswer answer = f.get();
               PASS_CHECK_MSG(answer.status.ok(),
                              answer.status.ToString().c_str());
-              PASS_CHECK(answer.cache_enabled);
               client_run_ms[c].push_back(answer.run_ms);
             }
           });

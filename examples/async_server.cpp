@@ -10,7 +10,7 @@
 /// deadline) — and the server drains gracefully at the end. Deadline-free
 /// answers are bit-identical to the synchronous path; the tour verifies
 /// that live against a sequential replay, then closes with a progressive
-/// AnswerUntil demo that streams interim answers while one resumable
+/// SubmitOptions::until demo that streams interim answers while one resumable
 /// session refines to a target CI width.
 ///
 /// Usage: async_server [rows] [clients] [queries_per_client] [shards]
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
         if (answer.status.ok()) {
           ++mine.answered;
           mine.total_ms.push_back(answer.total_ms);
-          if (answer.truncated) ++mine.truncated;
+          if (answer.answer.truncated) ++mine.truncated;
           if (!has_deadline[i]) {
             // Bit-identity spot check against the synchronous path —
             // deadline-free submissions only: a deadline answer is
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
               mismatched == 0 ? "yes (every deadline-free answer)"
                               : "NO — report a bug");
 
-  // Progressive answering tour: AnswerUntil opens one resumable
+  // Progressive answering tour: SubmitOptions::until opens one resumable
   // estimation session and refines it through a doubling budget ladder,
   // streaming every intermediate answer (is_final = false) through the
   // callback until the 99% CI is tight enough. Each step scans only the
@@ -218,7 +218,8 @@ int main(int argc, char** argv) {
     // refinement usually stops a step or two before exhausting the plan.
     const double full_width =
         (*engine)->Answer(q).estimate.HalfWidth(kLambda99);
-    StoppingCondition until;
+    SubmitOptions progressive;
+    StoppingCondition& until = progressive.until.emplace();
     until.target_ci_width = full_width * 1.25;
     until.min_step_units = 256;
 
@@ -227,23 +228,21 @@ int main(int argc, char** argv) {
     std::mutex mu;
     std::condition_variable cv;
     bool finished = false;
-    scheduler.AnswerUntil(
-        **engine, q, until, SubmitOptions{},
-        [&](ScheduledAnswer step) {
-          std::printf(
-              "  step %u: %s budget %llu/%llu units, estimate %.6g "
-              "(half-width %.4g)\n",
-              step.refinements, step.is_final ? "final " : "interim",
-              static_cast<unsigned long long>(step.budget_used),
-              static_cast<unsigned long long>(step.budget_total),
-              step.answer.estimate.value,
-              step.answer.estimate.HalfWidth(kLambda99));
-          if (step.is_final) {
-            std::lock_guard<std::mutex> lock(mu);
-            finished = true;
-            cv.notify_one();
-          }
-        });
+    scheduler.Submit(**engine, q, progressive, [&](ScheduledAnswer step) {
+      std::printf(
+          "  step %u: %s budget %llu/%llu units, estimate %.6g "
+          "(half-width %.4g)\n",
+          step.refinements, step.is_final ? "final " : "interim",
+          static_cast<unsigned long long>(step.budget_used),
+          static_cast<unsigned long long>(step.budget_total),
+          step.answer.estimate.value,
+          step.answer.estimate.HalfWidth(kLambda99));
+      if (step.is_final) {
+        std::lock_guard<std::mutex> lock(mu);
+        finished = true;
+        cv.notify_one();
+      }
+    });
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return finished; });
   }

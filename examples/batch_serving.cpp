@@ -1,8 +1,8 @@
 /// AqpEngine tour: build every registered engine by name from one shared
-/// EngineConfig, then serve the same query batch through the multi-threaded
-/// BatchExecutor and compare accuracy/latency/throughput. This is the
-/// serving-layer entry point later scaling work (sharding, caching, async)
-/// builds on.
+/// EngineConfig, then serve the same query batch through RunBatch on one
+/// multi-threaded QueryScheduler and compare accuracy/latency/throughput.
+/// This is the serving-layer entry point later scaling work (sharding,
+/// caching, async) builds on.
 ///
 /// Usage: batch_serving [rows] [queries] [threads]
 
@@ -16,7 +16,7 @@
 #include "common/parse.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/engine_registry.h"
 #include "harness/metrics.h"
 #include "harness/table_printer.h"
@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
   EngineConfig config;
   config.sample_rate = 0.005;
   config.partitions = 64;
-  const BatchExecutor executor(threads);
+  QueryScheduler& scheduler = QueryScheduler::Shared(threads);
   const std::vector<ExactResult> truths = ComputeGroundTruth(data, queries);
 
   std::printf("serving %zu queries over %zu rows with %zu threads\n\n",
-              queries.size(), data.NumRows(), executor.num_threads());
+              queries.size(), data.NumRows(), scheduler.num_threads());
 
   TablePrinter table(
       {"engine", "p50_ms", "p95_ms", "median_rel_err", "batch_qps"});
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    const BatchResult batch = executor.Run(**engine, queries);
-    const BatchErrorSummary err = BatchExecutor::Score(batch, truths);
+    const BatchResult batch = RunBatch(scheduler, **engine, queries);
+    const BatchErrorSummary err = ScoreBatch(batch, truths);
     table.AddRow({name, FormatDouble(LatencyQuantileMs(batch, 0.5), 4),
                   FormatDouble(LatencyQuantileMs(batch, 0.95), 4),
                   FormatDouble(err.median_rel_error, 4),

@@ -13,17 +13,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/parse.h"
-#include "common/stopwatch.h"
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/engine_registry.h"
 #include "engine/query_scheduler.h"
 #include "harness/metrics.h"
@@ -75,7 +73,7 @@ int main(int argc, char** argv) {
       ParallelShardExecutor::Shared().num_threads());
 
   // 1) The sweep: same budget, more shards, served asynchronously —
-  //    submit every query as a future, then wait on them all.
+  //    RunBatch submits every query as a future, then waits on them all.
   TablePrinter table({"shards", "build_s", "p50_ms", "p95_ms",
                       "median_rel_err", "batch_qps"});
   for (size_t k = 1; k <= max_shards; k *= 2) {
@@ -87,28 +85,8 @@ int main(int argc, char** argv) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    BatchResult batch;
-    batch.num_threads = scheduler.num_threads();
-    batch.answers.resize(queries.size());
-    batch.latency_ms.resize(queries.size());
-    std::vector<std::future<ScheduledAnswer>> futures;
-    futures.reserve(queries.size());
-    Stopwatch wall;
-    for (const Query& q : queries) {
-      futures.push_back(scheduler.Submit(**engine, q));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      ScheduledAnswer answer = futures[i].get();
-      if (!answer.status.ok()) {
-        std::fprintf(stderr, "query %zu: %s\n", i,
-                     answer.status.ToString().c_str());
-        return 1;
-      }
-      batch.answers[i] = answer.answer;
-      batch.latency_ms[i] = answer.run_ms;
-    }
-    batch.wall_ms = wall.ElapsedMillis();
-    const BatchErrorSummary err = BatchExecutor::Score(batch, truths);
+    const BatchResult batch = RunBatch(scheduler, **engine, queries);
+    const BatchErrorSummary err = ScoreBatch(batch, truths);
     table.AddRow({std::to_string(k),
                   FormatDouble((*engine)->Costs().build_seconds, 3),
                   FormatDouble(LatencyQuantileMs(batch, 0.5), 4),

@@ -1,55 +1,29 @@
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 
 #include <future>
-#include <map>
-#include <memory>
 #include <utility>
 
 #include "common/macros.h"
-#include "common/mutex.h"
 #include "common/stopwatch.h"
 #include "stats/quantile.h"
 
 namespace pass {
 
-BatchExecutor::BatchExecutor(size_t num_threads)
-    : scheduler_(SchedulerOptions{num_threads, /*max_in_flight=*/0, {}}) {}
-
-BatchExecutor& BatchExecutor::Shared(size_t num_threads) {
-  // Normalize before keying the cache so Shared(0) and an explicit
-  // Shared(hardware_concurrency) share one pool.
-  num_threads = ThreadPool::ResolveNumThreads(num_threads);
-  static Mutex* mu = new Mutex();
-  static auto* executors =
-      new std::map<size_t, std::unique_ptr<BatchExecutor>>();
-  MutexLock lock(*mu);
-  std::unique_ptr<BatchExecutor>& executor = (*executors)[num_threads];
-  if (executor == nullptr) {
-    executor = std::make_unique<BatchExecutor>(num_threads);
-  }
-  return *executor;
-}
-
-BatchResult BatchExecutor::Run(const AqpSystem& system,
-                               const std::vector<Query>& queries) const {
+BatchResult RunBatch(QueryScheduler& scheduler, const AqpSystem& system,
+                     const std::vector<Query>& queries) {
   BatchResult result;
-  result.num_threads = scheduler_.num_threads();
+  result.num_threads = scheduler.num_threads();
   result.answers.resize(queries.size());
   result.latency_ms.resize(queries.size());
 
-  // Submit all, wait all: the scheduler is the only execution path, and
-  // waiting on this batch's own futures (not a pool-wide barrier) keeps
-  // concurrent Run() calls on one executor independent.
   std::vector<std::future<ScheduledAnswer>> futures;
   futures.reserve(queries.size());
   Stopwatch batch_timer;
   for (const Query& query : queries) {
-    futures.push_back(scheduler_.Submit(system, query));
+    futures.push_back(scheduler.Submit(system, query));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     ScheduledAnswer scheduled = futures[i].get();
-    // No deadline was set and this executor outlives the batch, so the
-    // scheduler can only have resolved with an answer.
     PASS_CHECK_MSG(scheduled.status.ok(),
                    scheduled.status.ToString().c_str());
     result.answers[i] = std::move(scheduled.answer);
@@ -59,8 +33,8 @@ BatchResult BatchExecutor::Run(const AqpSystem& system,
   return result;
 }
 
-BatchErrorSummary BatchExecutor::Score(
-    const BatchResult& result, const std::vector<ExactResult>& truths) {
+BatchErrorSummary ScoreBatch(const BatchResult& result,
+                             const std::vector<ExactResult>& truths) {
   PASS_CHECK(result.answers.size() == truths.size());
   BatchErrorSummary summary;
   std::vector<double> rel_errors;

@@ -1,7 +1,6 @@
 #include "engine/query_scheduler.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -23,8 +22,7 @@ double MillisBetween(SteadyClock::time_point from, SteadyClock::time_point to) {
 
 /// One admitted submission. Heap-allocated and owned by the pool closure:
 /// the submitting thread may abandon its future (or passed only a
-/// callback), so the task cannot live on the submitter's stack the way
-/// BatchExecutor's old per-batch latch state did.
+/// callback), so the task cannot live on the submitter's stack.
 struct QueryScheduler::Task {
   const AqpSystem* system = nullptr;
   Query query;
@@ -33,22 +31,53 @@ struct QueryScheduler::Task {
   std::optional<SteadyClock::time_point> deadline;
   std::optional<StoppingCondition> until;
   AdmissionPolicy admission = AdmissionPolicy::kAlwaysAnswer;
-  bool want_future = false;
-  std::promise<ScheduledAnswer> promise;
+  std::promise<ScheduledAnswer> promise;  // unused when `done` is set
   Callback done;
+
+  /// Resolves the submission through its callback or else its future.
+  void Resolve(ScheduledAnswer result) {
+    if (done) {
+      done(std::move(result));
+    } else {
+      promise.set_value(std::move(result));
+    }
+  }
+  /// Resolves a submission that never ran with `status`.
+  void Reject(Status status) {
+    ScheduledAnswer result;
+    result.status = std::move(status);
+    Resolve(std::move(result));
+  }
 };
 
+namespace {
+
+/// A stopping condition Submit can honour: `confidence` strictly inside
+/// (0, 1) — LambdaForConfidence maps 0 to a zero and negative levels to a
+/// negative multiplier, so any width would "meet" the target at the
+/// zero-budget answer — and a non-NaN, non-negative target width.
+Status ValidateStoppingCondition(const StoppingCondition& condition) {
+  if (!(condition.confidence > 0.0 && condition.confidence < 1.0)) {
+    return Status::InvalidArgument(
+        "StoppingCondition::confidence must lie strictly inside (0, 1)");
+  }
+  if (!(condition.target_ci_width >= 0.0)) {
+    return Status::InvalidArgument(
+        "StoppingCondition::target_ci_width must be >= 0 and not NaN");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 QueryScheduler::QueryScheduler(const SchedulerOptions& options)
-    : max_in_flight_(options.max_in_flight),
-      calibration_(options.calibration),
+    : calibration_(options.calibration),
       unit_cost_ms_(options.calibration.initial_unit_cost_ms),
       overhead_ms_(options.calibration.initial_overhead_ms),
-      pool_(options.num_threads) {}
+      pool_(options.num_threads, options.max_in_flight) {}
 
 QueryScheduler::QueryScheduler(size_t num_threads)
     : QueryScheduler(SchedulerOptions{num_threads, /*max_in_flight=*/0, {}}) {}
-
-QueryScheduler::~QueryScheduler() { Shutdown(); }
 
 QueryScheduler& QueryScheduler::Shared(size_t num_threads) {
   // Normalize before keying the cache so Shared(0) and an explicit
@@ -65,55 +94,36 @@ QueryScheduler& QueryScheduler::Shared(size_t num_threads) {
   return *scheduler;
 }
 
-size_t QueryScheduler::InFlight() const {
-  MutexLock lock(mu_);
-  return in_flight_;
-}
-
 std::future<ScheduledAnswer> QueryScheduler::Submit(
     const AqpSystem& system, Query query, const SubmitOptions& options) {
-  return SubmitInternal(system, std::move(query), options, /*done=*/nullptr,
-                        /*want_future=*/true);
+  return SubmitInternal(system, std::move(query), options, /*done=*/nullptr);
 }
 
 void QueryScheduler::Submit(const AqpSystem& system, Query query,
                             const SubmitOptions& options, Callback done) {
   PASS_CHECK(done != nullptr);
-  (void)SubmitInternal(system, std::move(query), options, std::move(done),
-                       /*want_future=*/false);
-}
-
-std::future<ScheduledAnswer> QueryScheduler::AnswerUntil(
-    const AqpSystem& system, Query query, const StoppingCondition& condition,
-    const SubmitOptions& options) {
-  SubmitOptions progressive = options;
-  progressive.until = condition;
-  return SubmitInternal(system, std::move(query), progressive,
-                        /*done=*/nullptr, /*want_future=*/true);
-}
-
-void QueryScheduler::AnswerUntil(const AqpSystem& system, Query query,
-                                 const StoppingCondition& condition,
-                                 const SubmitOptions& options, Callback done) {
-  PASS_CHECK(done != nullptr);
-  SubmitOptions progressive = options;
-  progressive.until = condition;
-  (void)SubmitInternal(system, std::move(query), progressive, std::move(done),
-                       /*want_future=*/false);
+  (void)SubmitInternal(system, std::move(query), options, std::move(done));
 }
 
 std::future<ScheduledAnswer> QueryScheduler::SubmitInternal(
     const AqpSystem& system, Query query, const SubmitOptions& options,
-    Callback done, bool want_future) {
+    Callback done) {
   auto task = std::make_unique<Task>();
   task->system = &system;
   task->query = std::move(query);
   task->until = options.until;
   task->admission = options.admission;
-  task->want_future = want_future;
   task->done = std::move(done);
   std::future<ScheduledAnswer> future;
-  if (want_future) future = task->promise.get_future();
+  if (task->done == nullptr) future = task->promise.get_future();
+
+  if (options.until) {
+    Status valid = ValidateStoppingCondition(*options.until);
+    if (!valid.ok()) {
+      task->Reject(std::move(valid));
+      return future;
+    }
+  }
 
   // Admission control: shed before consuming a queue slot when even the
   // zero-budget answer could not make the deadline (the whole relative
@@ -124,52 +134,27 @@ std::future<ScheduledAnswer> QueryScheduler::SubmitInternal(
     const double deadline_ms =
         std::chrono::duration<double, std::milli>(*options.deadline).count();
     if (deadline_ms <= CalibratedOverheadMs()) {
-      ScheduledAnswer result;
-      result.status = Status::DeadlineExceeded(
+      task->Reject(Status::DeadlineExceeded(
           "deadline below the calibrated zero-budget overhead; rejected at "
-          "admission");
-      if (task->want_future) task->promise.set_value(result);
-      if (task->done) task->done(std::move(result));
+          "admission"));
       return future;
     }
   }
 
-  bool rejected = false;
-  {
-    MutexLock lock(mu_);
-    // Backpressure: a bounded scheduler blocks the producer until a slot
-    // frees. Shutdown unblocks every waiting producer into rejection.
-    if (max_in_flight_ > 0) {
-      while (!shutdown_ && in_flight_ >= max_in_flight_) {
-        slot_free_.Wait(mu_);
-      }
-    }
-    if (shutdown_) {
-      rejected = true;
-    } else {
-      task->ticket = ++next_ticket_;
-      task->admitted = SteadyClock::now();
-      if (options.deadline) {
-        task->deadline = task->admitted + *options.deadline;
-      }
-      ++in_flight_;
-    }
-  }
-
-  if (rejected) {
-    ScheduledAnswer result;
-    result.status =
-        Status::Unavailable("QueryScheduler is shut down; query rejected");
-    if (task->want_future) task->promise.set_value(result);
-    if (task->done) task->done(std::move(result));
-    return future;
-  }
+  // Admission is stamped before the pool's backpressure wait, so a bounded
+  // scheduler's deadline and queue_ms include time spent blocked there.
+  task->ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+  task->admitted = SteadyClock::now();
+  if (options.deadline) task->deadline = task->admitted + *options.deadline;
 
   Task* raw = task.release();
-  const bool accepted = pool_.Submit([this, raw] { RunTask(raw); });
-  // Admission is gated by shutdown_ above and Shutdown() drains before the
-  // pool ever stops, so the pool can never have refused the task.
-  PASS_CHECK(accepted);
+  if (!pool_.Submit([this, raw] { RunTask(raw); })) {
+    // Shut down: the pool destroyed the closure unrun, so the task is
+    // still ours to resolve, here on the submitting thread.
+    task.reset(raw);
+    task->Reject(
+        Status::Unavailable("QueryScheduler is shut down; query rejected"));
+  }
   return future;
 }
 
@@ -284,35 +269,22 @@ void QueryScheduler::RunTask(Task* raw) {
     AnswerOnce(*task, AnswerOptions{}, &result);
   }
   result.total_ms = MillisBetween(task->admitted, SteadyClock::now());
-  if (const SemanticAnswerCache* cache = task->system->AnswerCache()) {
-    result.cache_enabled = true;
-    result.cache = cache->Stats();
-  }
-
-  if (task->want_future) task->promise.set_value(result);
-  if (task->done) task->done(std::move(result));
-
-  {
-    MutexLock lock(mu_);
-    --in_flight_;
-  }
-  // Wakes both backpressured producers and Drain()/Shutdown() waiters.
-  slot_free_.NotifyAll();
+  task->Resolve(std::move(result));
 }
 
 namespace {
 
-/// The aggregate of a fused MultiAnswer that a progressive submission
-/// refines. Only SUM/COUNT/AVG have a fused resumable path.
-const QueryAnswer* FusedComponent(const MultiAnswer& multi,
-                                  AggregateType agg) {
+/// The member of a fused MultiAnswer that a progressive submission
+/// refines; null for aggregates without a fused resumable path (only
+/// SUM/COUNT/AVG have one).
+QueryAnswer MultiAnswer::*FusedComponent(AggregateType agg) {
   switch (agg) {
     case AggregateType::kSum:
-      return &multi.sum;
+      return &MultiAnswer::sum;
     case AggregateType::kCount:
-      return &multi.count;
+      return &MultiAnswer::count;
     case AggregateType::kAvg:
-      return &multi.avg;
+      return &MultiAnswer::avg;
     default:
       return nullptr;
   }
@@ -323,14 +295,12 @@ const QueryAnswer* FusedComponent(const MultiAnswer& multi,
 void QueryScheduler::RunProgressive(Task* task, ScheduledAnswer* result) {
   const StoppingCondition& condition = *task->until;
   const double lambda = LambdaForConfidence(condition.confidence);
-  const AggregateType agg = task->query.agg;
+  QueryAnswer MultiAnswer::*const component =
+      FusedComponent(task->query.agg);
   const SteadyClock::time_point started = SteadyClock::now();
 
   std::unique_ptr<EstimationSession> session;
-  const bool fused = agg == AggregateType::kSum ||
-                     agg == AggregateType::kCount ||
-                     agg == AggregateType::kAvg;
-  if (fused) {
+  if (component != nullptr) {
     // Ticket-derived seed, like the anytime path (see ScheduledAnswer).
     session = task->system->StartSession(task->query.predicate, task->ticket);
   }
@@ -355,7 +325,7 @@ void QueryScheduler::RunProgressive(Task* task, ScheduledAnswer* result) {
   uint32_t refinements = 0;
   while (true) {
     const MultiAnswer multi = session->AdvanceTo(cap);
-    const QueryAnswer& answer = *FusedComponent(multi, agg);
+    const QueryAnswer& answer = multi.*component;
     const bool tight =
         condition.target_ci_width > 0.0 &&
         answer.estimate.HalfWidth(lambda) <= condition.target_ci_width;
@@ -366,7 +336,6 @@ void QueryScheduler::RunProgressive(Task* task, ScheduledAnswer* result) {
     result->answer = answer;
     result->budget_total = std::min(cap, plan);
     result->budget_used = session->UnitsScanned();
-    result->truncated = answer.truncated;
     result->refinements = refinements;
     result->is_final = final_step;
     if (final_step) break;
@@ -396,7 +365,6 @@ void QueryScheduler::AnswerOnce(const Task& task, const AnswerOptions& options,
   const SteadyClock::time_point started = SteadyClock::now();
   result->answer = task.system->Answer(task.query, options);
   result->run_ms = MillisBetween(started, SteadyClock::now());
-  result->truncated = result->answer.truncated;
   result->scan_rows_per_sec =
       RowsPerSec(result->answer.sample_rows_scanned, result->run_ms);
   // Every budget-capable system reports the scan units it consumed, so
@@ -404,24 +372,6 @@ void QueryScheduler::AnswerOnce(const Task& task, const AnswerOptions& options,
   if (task.system->SupportsBudget()) {
     ObserveUnitCost(result->run_ms, result->answer.sample_rows_scanned);
   }
-}
-
-void QueryScheduler::Drain() {
-  MutexLock lock(mu_);
-  while (in_flight_ != 0) slot_free_.Wait(mu_);
-}
-
-void QueryScheduler::Shutdown() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  slot_free_.NotifyAll();  // release producers blocked on backpressure
-  // Always drain — even on a repeat call — so *every* caller returns only
-  // once in-flight work is done. Shutdown is the teardown fence callers
-  // rely on before destroying the engines they submitted, so a concurrent
-  // second caller must not return early while queries still run.
-  Drain();
 }
 
 }  // namespace pass

@@ -1,6 +1,7 @@
 #ifndef PASS_ENGINE_QUERY_SCHEDULER_H_
 #define PASS_ENGINE_QUERY_SCHEDULER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -8,7 +9,6 @@
 #include <future>
 #include <optional>
 
-#include "cache/semantic_answer_cache.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -22,21 +22,21 @@ namespace pass {
 
 /// What the scheduler resolves a submission with. `answer` is meaningful
 /// iff `status.ok()`; otherwise the query was never run (it expired in the
-/// queue on a non-anytime system, or was rejected at shutdown) and the
-/// timing fields describe only the time it spent waiting.
+/// queue on a non-anytime system, was rejected at admission or at
+/// shutdown) and the timing fields describe only the time it spent waiting.
 struct ScheduledAnswer {
-  Status status;       // Ok | kDeadlineExceeded | kUnavailable
+  Status status;  // Ok | kInvalidArgument | kDeadlineExceeded | kUnavailable
   QueryAnswer answer;  // valid iff status.ok()
 
   /// Anytime accounting, meaningful only for deadline submissions to
   /// budget-capable systems (zero otherwise): the scan-unit budget the
   /// scheduler granted at dispatch (0 for a query that expired in the
-  /// queue and was answered from bounds alone), the units the estimator
-  /// actually consumed, and whether the budget left planned work
-  /// unexecuted (the answer is then valid but wider than the full one).
+  /// queue and was answered from bounds alone) and the units the estimator
+  /// actually consumed. `answer.truncated` says whether the budget left
+  /// planned work unexecuted (the answer is then valid but wider than the
+  /// full one).
   uint64_t budget_total = 0;
   uint64_t budget_used = 0;
-  bool truncated = false;
 
   /// Scan throughput this run achieved: sample rows scanned per second of
   /// run_ms (0 when the run scanned nothing — covered/zero-budget answers
@@ -46,36 +46,31 @@ struct ScheduledAnswer {
   /// drifting calibration is visible directly in submission results.
   double scan_rows_per_sec = 0.0;
 
-  /// Progressive (AnswerUntil) accounting. Intermediate answers streamed
-  /// through the callback carry is_final = false; exactly one final answer
-  /// (is_final = true) resolves the submission — it is the only one a
-  /// future ever sees. `refinements` counts the AdvanceTo steps taken
-  /// before this answer was produced (0 for non-progressive submissions
-  /// and for the zero-budget first look).
+  /// Progressive (SubmitOptions::until) accounting. Intermediate answers
+  /// streamed through the callback carry is_final = false; exactly one
+  /// final answer (is_final = true) resolves the submission — it is the
+  /// only one a future ever sees. `refinements` counts the AdvanceTo steps
+  /// taken before this answer was produced (0 for non-progressive
+  /// submissions and for the zero-budget first look).
   bool is_final = true;
   uint32_t refinements = 0;
 
-  /// Monotonically increasing admission ticket. Every submission gets a
-  /// unique ticket under the admission lock, so any scheduler-level
-  /// randomization (none today) must derive its seed from the ticket —
-  /// never from thread identity or completion order — to keep the async
-  /// path bit-identical to the sequential one.
+  /// Monotonically increasing admission ticket. Every admitted submission
+  /// draws a unique ticket from one atomic counter, so scheduler-level
+  /// randomization (the deadline budget's spend order, the progressive
+  /// session's seed) derives its seed from the ticket — never from thread
+  /// identity or completion order — to keep answers replayable.
   uint64_t ticket = 0;
 
-  double queue_ms = 0.0;  // admission -> a worker picked the task up
+  /// Admission -> a worker picked the task up. Admission is stamped before
+  /// the task enters the pool, so on a bounded scheduler this includes the
+  /// time the producer spent blocked on backpressure.
+  double queue_ms = 0.0;
   double run_ms = 0.0;    // the AqpSystem::Answer call alone
   double total_ms = 0.0;  // admission -> resolution (queue + run)
-
-  /// Semantic-answer-cache accounting, filled iff the answering system is
-  /// served behind one (cache_enabled). `cache` is the cache's cumulative
-  /// counter snapshot taken when this submission resolved — cumulative
-  /// rather than per-query because concurrent queries share the counters;
-  /// sequential callers diff consecutive snapshots for per-query deltas.
-  bool cache_enabled = false;
-  CacheStats cache;
 };
 
-/// When a progressive (AnswerUntil) submission may stop refining. The
+/// When a progressive (SubmitOptions::until) submission may stop refining. The
 /// scheduler iterates plan -> scan-delta -> check: it opens one
 /// EstimationSession, advances it through a doubling ladder of cumulative
 /// scan-unit budgets, and stops at the first answer whose confidence
@@ -84,13 +79,17 @@ struct ScheduledAnswer {
 /// same session, reaching a given budget level costs exactly that many
 /// scan units in total, never the sum of the ladder (the refine-vs-restart
 /// sweep in bench_micro measures this).
+///
+/// Submit rejects a condition it cannot honour with kInvalidArgument: a
+/// `confidence` outside (0, 1) or a NaN/negative `target_ci_width`.
 struct StoppingCondition {
   /// Stop once the CI half-width at `confidence` is <= this. 0 = never
   /// satisfied by width — refine until the plan is exhausted or the
   /// deadline hits (a "best answer by the deadline" submission).
   double target_ci_width = 0.0;
 
-  /// Confidence level of the interval checked against target_ci_width.
+  /// Confidence level of the interval checked against target_ci_width,
+  /// strictly inside (0, 1).
   double confidence = 0.99;
 
   /// Minimum scan units per refinement step. 0 = auto: max(64, plan/16),
@@ -120,14 +119,17 @@ enum class AdmissionPolicy {
 /// aggregate initializers keep compiling unchanged.
 struct SubmitOptions {
   /// Relative deadline, measured on the monotonic clock from the moment
-  /// Submit admits the query. The policy is *anytime-first*:
+  /// Submit admits the query. Admission is stamped before the query enters
+  /// the pool, so on a bounded scheduler (SchedulerOptions::max_in_flight)
+  /// time spent blocked on backpressure counts against the deadline. The
+  /// policy is *anytime-first*:
   ///
   ///  * Budget-capable systems (AqpSystem::SupportsBudget()) are never
   ///    shed. At dispatch the remaining time is converted into a
   ///    scan-unit WorkBudget (see BudgetCalibration); a query that
   ///    expired while queued runs with a zero budget and returns the pure
   ///    bounds-midpoint answer. Either way the caller gets a valid — if
-  ///    wider — answer, with `truncated`/`budget_*` reporting what was
+  ///    wider — answer, with `answer.truncated`/`budget_*` reporting what was
   ///    sacrificed. Deadline answers are therefore load-dependent; only
   ///    deadline-free submissions carry the bit-identical-to-sync
   ///    guarantee.
@@ -147,7 +149,7 @@ struct SubmitOptions {
   /// submissions answer once, in full, exactly as without `until`. With a
   /// callback submission every intermediate answer streams through the
   /// callback (is_final = false) before the final one; a future receives
-  /// only the final answer. AnswerUntil() is sugar for setting this.
+  /// only the final answer.
   std::optional<StoppingCondition> until;
 
   /// What to do when the deadline is infeasible even for a zero-budget
@@ -163,8 +165,10 @@ struct SchedulerOptions {
   size_t num_threads = 0;
   /// Bounded in-flight queue: when this many submissions are admitted but
   /// unresolved, Submit blocks (backpressure on the producer) until a slot
-  /// frees or the scheduler shuts down. 0 = unbounded — what the
-  /// BatchExecutor wrapper uses, since a closed batch is its own bound.
+  /// frees or the scheduler shuts down. 0 = unbounded — what Shared() and
+  /// RunBatch use, since a closed batch is its own bound. The bound is
+  /// enforced by the worker pool itself (ThreadPool), the only admission
+  /// gate in the serving layer.
   size_t max_in_flight = 0;
 
   /// Deadline-to-WorkBudget conversion parameters (anytime serving).
@@ -190,9 +194,15 @@ struct SchedulerOptions {
 /// handoff (scheduler pool -> shard pool) is deadlock-free by
 /// construction at any client count and shard count.
 ///
+/// Admission, backpressure, drain and shutdown all belong to the worker
+/// pool (ThreadPool): the scheduler keeps no queue state of its own, and a
+/// submission the pool refuses after Shutdown() resolves with kUnavailable
+/// on the submitting thread.
+///
 /// Lifetime: the AqpSystem reference passed to Submit must stay alive
 /// until that submission resolves (Drain()/Shutdown() are the fences
-/// callers use before tearing an engine down).
+/// callers use before tearing an engine down). Destruction shuts the pool
+/// down, which drains every admitted submission first.
 class QueryScheduler {
  public:
   using Callback = std::function<void(ScheduledAnswer)>;
@@ -200,18 +210,18 @@ class QueryScheduler {
   explicit QueryScheduler(const SchedulerOptions& options = {});
   /// Convenience: a scheduler with `num_threads` workers, unbounded queue.
   explicit QueryScheduler(size_t num_threads);
-  ~QueryScheduler();  // Shutdown()
 
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Process-wide scheduler for the given pool size, created on first use
-  /// and kept for the process lifetime (mirrors BatchExecutor::Shared).
-  /// Thread-safe.
+  /// Process-wide unbounded scheduler for the given pool size, created on
+  /// first use and kept for the process lifetime. Callers that answer many
+  /// workloads (the harness, benches, RunBatch callers) use this instead
+  /// of spawning and joining a fresh pool per call. Thread-safe.
   static QueryScheduler& Shared(size_t num_threads = 0);
 
   size_t num_threads() const { return pool_.num_threads(); }
-  size_t max_in_flight() const { return max_in_flight_; }
+  size_t max_in_flight() const { return pool_.max_in_flight(); }
 
   /// Current EWMA of the per-scan-unit cost (ms per sample row) used to
   /// price deadlines. Starts at the calibration's initial guess and learns
@@ -224,87 +234,68 @@ class QueryScheduler {
   double CalibratedOverheadMs() const EXCLUDES(calibration_mu_);
 
   /// Admitted-but-unresolved submissions right now (queued + running).
-  size_t InFlight() const EXCLUDES(mu_);
+  size_t InFlight() const { return pool_.InFlight(); }
 
   /// Submits one query for asynchronous answering. Blocks only for
   /// backpressure (bounded queue at capacity); otherwise returns
   /// immediately. After Shutdown() the returned future is already
-  /// resolved with kUnavailable.
+  /// resolved with kUnavailable; an `options.until` that fails its
+  /// validation (see StoppingCondition) resolves it with kInvalidArgument.
   std::future<ScheduledAnswer> Submit(const AqpSystem& system, Query query,
                                       const SubmitOptions& options = {});
 
   /// Completion-callback overload: `done` runs on the worker thread that
-  /// resolved the submission (including rejection at shutdown, where it
-  /// runs on the submitting thread). The callback must not throw and must
+  /// resolved the submission (for a rejection at admission or at shutdown
+  /// it runs on the submitting thread). The callback must not throw and must
   /// not block on this scheduler's own pool. A progressive submission
   /// (options.until) invokes `done` once per intermediate answer
   /// (is_final = false) and once for the final one.
   void Submit(const AqpSystem& system, Query query,
               const SubmitOptions& options, Callback done);
 
-  /// Progressive answering: refine until the stopping condition holds (or
-  /// the deadline in `options` expires, or the plan is exhausted). Sugar
-  /// for Submit with options.until = condition; see
-  /// SubmitOptions::until for the contract. The future resolves with the
-  /// final answer only.
-  std::future<ScheduledAnswer> AnswerUntil(const AqpSystem& system,
-                                           Query query,
-                                           const StoppingCondition& condition,
-                                           const SubmitOptions& options = {});
-
-  /// Streaming overload: every intermediate answer reaches `done` with
-  /// is_final = false, then the final one with is_final = true.
-  void AnswerUntil(const AqpSystem& system, Query query,
-                   const StoppingCondition& condition,
-                   const SubmitOptions& options, Callback done);
-
   /// Blocks until every admitted submission has resolved. New submissions
   /// are still accepted during and after a drain; with concurrent
   /// producers this is a quiescence point, not an admission barrier.
-  void Drain() EXCLUDES(mu_);
+  void Drain() { pool_.Wait(); }
 
   /// Graceful shutdown: stops admission (subsequent Submits resolve with
   /// kUnavailable), unblocks producers waiting on backpressure, runs every
   /// already-admitted query to completion, and returns once the queue is
-  /// empty. Idempotent; the destructor calls it.
-  void Shutdown() EXCLUDES(mu_);
+  /// empty. Idempotent; the destructor runs it through the pool's.
+  void Shutdown() { pool_.Shutdown(); }
 
  private:
   struct Task;
 
+  /// Returns the submission's future when `done` is null, and an empty
+  /// one otherwise.
   std::future<ScheduledAnswer> SubmitInternal(const AqpSystem& system,
                                               Query query,
                                               const SubmitOptions& options,
-                                              Callback done, bool want_future)
-      EXCLUDES(mu_);
-  void RunTask(Task* task) EXCLUDES(mu_);
+                                              Callback done);
+  void RunTask(Task* task);
   /// The progressive (options.until) path of RunTask: session-resumed
   /// refinement over a doubling budget ladder. Fills everything in
   /// `result` except total_ms.
   void RunProgressive(Task* task, ScheduledAnswer* result);
   /// One timed Answer call, the body of every non-refining run: fills the
-  /// answer, run_ms, scan_rows_per_sec and truncated, and feeds
+  /// answer, run_ms and scan_rows_per_sec, and feeds
   /// ObserveUnitCost when the system is budget-capable.
   void AnswerOnce(const Task& task, const AnswerOptions& options,
                   ScheduledAnswer* result);
   void ObserveUnitCost(double run_ms, uint64_t units)
       EXCLUDES(calibration_mu_);
 
-  mutable Mutex mu_;
-  CondVar slot_free_;  // backpressure + drain wakeups
-  size_t in_flight_ GUARDED_BY(mu_) = 0;
-  uint64_t next_ticket_ GUARDED_BY(mu_) = 0;
-  bool shutdown_ GUARDED_BY(mu_) = false;
-  const size_t max_in_flight_;
+  std::atomic<uint64_t> next_ticket_{0};
   const BudgetCalibration calibration_;
 
-  /// Deadline-pricing EWMAs, shared by every worker (their own lock so the
-  /// hot admission path never contends with calibration updates).
+  /// Deadline-pricing EWMAs, shared by every worker (the only lock the
+  /// scheduler itself owns; admission takes none of its own).
   mutable Mutex calibration_mu_;
   double unit_cost_ms_ GUARDED_BY(calibration_mu_);
   double overhead_ms_ GUARDED_BY(calibration_mu_);
 
-  mutable ThreadPool pool_;  // declared last: joins before state above dies
+  ThreadPool pool_;  // declared last: joins before state above dies
 };
 
 }  // namespace pass

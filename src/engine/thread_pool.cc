@@ -2,12 +2,11 @@
 
 #include <utility>
 
-#include "common/macros.h"
-
 namespace pass {
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : num_threads_(ResolveNumThreads(num_threads)) {
+ThreadPool::ThreadPool(size_t num_threads, size_t max_in_flight)
+    : num_threads_(ResolveNumThreads(num_threads)),
+      max_in_flight_(max_in_flight) {
   // Workers already run while the vector fills, but they never touch
   // workers_; the lock keeps the guarded write visible to the analysis.
   MutexLock join_lock(join_mu_);
@@ -25,6 +24,7 @@ void ThreadPool::Shutdown() {
     shutdown_ = true;
   }
   task_ready_.NotifyAll();
+  slot_free_.NotifyAll();  // blocked producers wake into rejection
   // join_mu_ serializes concurrent Shutdown callers: joining the same
   // std::thread from two threads is UB, and an early-returning second
   // caller would break the "joins every worker" contract while the first
@@ -35,23 +35,24 @@ void ThreadPool::Shutdown() {
   }
 }
 
-bool ThreadPool::IsShutdown() const {
-  MutexLock lock(mu_);
-  return shutdown_;
-}
-
 bool ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
-    // Submitting into a shut-down pool is a caller bug (the contract in
-    // the header): loud in Debug, a defined rejection in Release.
-    PASS_DCHECK(!shutdown_ && "ThreadPool::Submit after Shutdown");
+    while (!shutdown_ && max_in_flight_ != 0 &&
+           in_flight_ >= max_in_flight_) {
+      slot_free_.Wait(mu_);
+    }
     if (shutdown_) return false;
     queue_.push_back(std::move(task));
     ++in_flight_;
   }
   task_ready_.NotifyOne();
   return true;
+}
+
+size_t ThreadPool::InFlight() const {
+  MutexLock lock(mu_);
+  return in_flight_;
 }
 
 void ThreadPool::Wait() {
@@ -75,6 +76,9 @@ void ThreadPool::WorkerLoop() {
       --in_flight_;
       if (in_flight_ == 0) all_done_.NotifyAll();
     }
+    // One freed slot admits one blocked producer; a woken producer that
+    // loses the slot to a newcomer waits again for the next completion.
+    if (max_in_flight_ != 0) slot_free_.NotifyOne();
   }
 }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/exact_system.h"
 #include "stats/quantile.h"
 
@@ -14,7 +14,7 @@ std::vector<ExactResult> ComputeGroundTruth(
     const Dataset& data, const std::vector<Query>& queries) {
   const ExactSystem exact(data);
   const BatchResult batch =
-      BatchExecutor::Shared(/*num_threads=*/0).Run(exact, queries);
+      RunBatch(QueryScheduler::Shared(/*num_threads=*/0), exact, queries);
   std::vector<ExactResult> out;
   out.reserve(queries.size());
   for (const QueryAnswer& answer : batch.answers) {
@@ -36,11 +36,11 @@ RunSummary EvaluateSystem(const AqpSystem& system,
   summary.num_queries = queries.size();
   summary.costs = system.Costs();
 
-  // One execution path: Run submits every query to the shared
+  // One execution path: RunBatch submits every query to the shared
   // QueryScheduler and waits on the batch's own futures, so harness
   // numbers and async serving answers are the same bits.
   const BatchResult batch =
-      BatchExecutor::Shared(options.num_threads).Run(system, queries);
+      RunBatch(QueryScheduler::Shared(options.num_threads), system, queries);
 
   std::vector<double> rel_errors;
   std::vector<double> ci_ratios;

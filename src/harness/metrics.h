@@ -40,7 +40,7 @@ struct RunSummary {
 struct EvalOptions {
   double lambda = 2.576;  // 99%, the paper's default
   /// Worker count for answering the workload. Evaluation runs through the
-  /// QueryScheduler (via its synchronous BatchExecutor face), so these
+  /// QueryScheduler (via its synchronous RunBatch face), so these
   /// numbers measure the same execution path a server front-end uses.
   /// Defaults to 1 so per-query latencies stay comparable to the paper's
   /// sequential measurements; 0 = hardware concurrency.

@@ -10,8 +10,8 @@ namespace pass {
 
 /// Fans one query's per-shard work across a fixed-size thread pool and
 /// blocks until every shard finished. Deliberately a *separate* pool from
-/// BatchExecutor's: sharded engines answer queries from inside batch
-/// worker threads, and queuing shard tasks behind blocked batch tasks in
+/// QueryScheduler's: sharded engines answer queries from inside scheduler
+/// worker threads, and queuing shard tasks behind blocked query tasks in
 /// one shared pool would deadlock.
 ///
 /// Work is index-addressed (fn(shard_index) writes its own slot), so
@@ -21,7 +21,7 @@ class ParallelShardExecutor {
   /// `num_threads` = 0 means std::thread::hardware_concurrency.
   explicit ParallelShardExecutor(size_t num_threads = 0);
 
-  /// Process-wide executor per pool size, mirroring BatchExecutor::Shared.
+  /// Process-wide executor per pool size, mirroring QueryScheduler::Shared.
   /// Thread-safe; created on first use and kept for the process lifetime.
   static ParallelShardExecutor& Shared(size_t num_threads = 0);
 

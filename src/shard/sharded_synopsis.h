@@ -42,7 +42,7 @@ class ShardedSynopsis final : public AqpSystem {
 
   /// Fans per-shard answering onto `executor` (nullptr = sequential).
   /// The executor must outlive the synopsis and must not share a pool
-  /// with a BatchExecutor answering through this synopsis (see
+  /// with a QueryScheduler answering through this synopsis (see
   /// ParallelShardExecutor's deadlock note).
   void set_executor(const ParallelShardExecutor* executor) {
     executor_ = executor;

@@ -1,4 +1,7 @@
-#include "engine/batch_executor.h"
+/// RunBatch, the synchronous face of the serving layer, and the ThreadPool
+/// underneath every QueryScheduler.
+
+#include "engine/batch.h"
 
 #include <memory>
 #include <string>
@@ -10,7 +13,9 @@
 #include "data/generators.h"
 #include "data/workload.h"
 #include "engine/engine_registry.h"
+#include "engine/query_scheduler.h"
 #include "engine/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace pass {
 namespace {
@@ -35,25 +40,11 @@ std::vector<Query> FixedWorkload(const Dataset& data, size_t count) {
 }
 
 /// Answers must be bit-for-bit identical to the sequential loop: the
-/// executor only changes *where* a query runs, never what it computes.
+/// scheduler only changes *where* a query runs, never what it computes.
 void ExpectIdentical(const QueryAnswer& got, const QueryAnswer& want,
                      size_t index) {
-  EXPECT_EQ(got.estimate.value, want.estimate.value) << "query " << index;
-  EXPECT_EQ(got.estimate.variance, want.estimate.variance) << "query "
-                                                           << index;
-  EXPECT_EQ(got.hard_lb, want.hard_lb) << "query " << index;
-  EXPECT_EQ(got.hard_ub, want.hard_ub) << "query " << index;
-  EXPECT_EQ(got.exact, want.exact) << "query " << index;
-  EXPECT_EQ(got.population_rows, want.population_rows) << "query " << index;
-  EXPECT_EQ(got.population_rows_skipped, want.population_rows_skipped)
-      << "query " << index;
-  EXPECT_EQ(got.sample_rows_scanned, want.sample_rows_scanned)
-      << "query " << index;
-  EXPECT_EQ(got.matched_sample_rows, want.matched_sample_rows)
-      << "query " << index;
-  EXPECT_EQ(got.covered_nodes, want.covered_nodes) << "query " << index;
-  EXPECT_EQ(got.partial_leaves, want.partial_leaves) << "query " << index;
-  EXPECT_EQ(got.nodes_visited, want.nodes_visited) << "query " << index;
+  SCOPED_TRACE("query " + std::to_string(index));
+  testing::ExpectAnswersBitIdentical(got, want);
 }
 
 void CheckMatchesSequential(const std::string& engine_name,
@@ -66,8 +57,8 @@ void CheckMatchesSequential(const std::string& engine_name,
   sequential.reserve(queries.size());
   for (const Query& q : queries) sequential.push_back(engine->Answer(q));
 
-  const BatchExecutor executor(num_threads);
-  const BatchResult batch = executor.Run(*engine, queries);
+  QueryScheduler scheduler(num_threads);
+  const BatchResult batch = RunBatch(scheduler, *engine, queries);
   ASSERT_EQ(batch.answers.size(), queries.size());
   ASSERT_EQ(batch.latency_ms.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -77,31 +68,31 @@ void CheckMatchesSequential(const std::string& engine_name,
   EXPECT_GE(batch.wall_ms, 0.0);
 }
 
-TEST(BatchExecutor, SingleThreadMatchesSequential) {
+TEST(RunBatch, SingleThreadMatchesSequential) {
   CheckMatchesSequential("pass", /*num_threads=*/1, /*num_queries=*/60);
 }
 
-TEST(BatchExecutor, MultiThreadMatchesSequential) {
+TEST(RunBatch, MultiThreadMatchesSequential) {
   CheckMatchesSequential("pass", /*num_threads=*/4, /*num_queries=*/60);
 }
 
-TEST(BatchExecutor, OversubscribedMatchesSequential) {
+TEST(RunBatch, OversubscribedMatchesSequential) {
   // Far more threads than queries: most workers stay idle, results are
   // still index-aligned and identical.
   CheckMatchesSequential("pass", /*num_threads=*/16, /*num_queries=*/5);
 }
 
-TEST(BatchExecutor, HardwareConcurrencyMatchesSequential) {
+TEST(RunBatch, HardwareConcurrencyMatchesSequential) {
   CheckMatchesSequential("uniform", /*num_threads=*/0, /*num_queries=*/80);
 }
 
-TEST(BatchExecutor, EveryBuiltinEngineIsThreadConsistent) {
+TEST(RunBatch, EveryBuiltinEngineIsThreadConsistent) {
   for (const std::string& name : EngineRegistry::Global().Names()) {
     CheckMatchesSequential(name, /*num_threads=*/8, /*num_queries=*/24);
   }
 }
 
-TEST(BatchExecutor, ConcurrentRunsOnOneExecutorAreIndependent) {
+TEST(RunBatch, ConcurrentBatchesOnOneSchedulerAreIndependent) {
   const Dataset data = MakeUniform(5000, /*seed=*/21, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> engine = FixedSeedEngine(data, "pass");
   const std::vector<Query> queries_a = FixedWorkload(data, 40);
@@ -115,12 +106,12 @@ TEST(BatchExecutor, ConcurrentRunsOnOneExecutorAreIndependent) {
   for (const Query& q : queries_a) want_a.push_back(engine->Answer(q));
   for (const Query& q : queries_b) want_b.push_back(engine->Answer(q));
 
-  const BatchExecutor executor(4);
+  QueryScheduler scheduler(4);
   BatchResult got_a, got_b;
   std::thread runner_a(
-      [&] { got_a = executor.Run(*engine, queries_a); });
+      [&] { got_a = RunBatch(scheduler, *engine, queries_a); });
   std::thread runner_b(
-      [&] { got_b = executor.Run(*engine, queries_b); });
+      [&] { got_b = RunBatch(scheduler, *engine, queries_b); });
   runner_a.join();
   runner_b.join();
 
@@ -134,26 +125,26 @@ TEST(BatchExecutor, ConcurrentRunsOnOneExecutorAreIndependent) {
   }
 }
 
-TEST(BatchExecutor, EmptyBatch) {
+TEST(RunBatch, EmptyBatch) {
   const Dataset data = MakeUniform(1000, /*seed=*/3, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> engine = FixedSeedEngine(data, "uniform");
-  const BatchExecutor executor(4);
-  const BatchResult result = executor.Run(*engine, {});
+  QueryScheduler scheduler(4);
+  const BatchResult result = RunBatch(scheduler, *engine, {});
   EXPECT_TRUE(result.answers.empty());
   EXPECT_EQ(result.Throughput(), 0.0);
   EXPECT_EQ(LatencyQuantileMs(result, 0.5), 0.0);
 }
 
-TEST(BatchExecutor, ScoreAgainstGroundTruth) {
+TEST(RunBatch, ScoreAgainstGroundTruth) {
   const Dataset data = MakeUniform(5000, /*seed=*/9, 1.0, 2.0);
   const std::unique_ptr<AqpSystem> exact = FixedSeedEngine(data, "exact");
   const std::vector<Query> queries = FixedWorkload(data, 40);
   std::vector<ExactResult> truths;
   for (const Query& q : queries) truths.push_back(ExactAnswer(data, q));
 
-  const BatchExecutor executor(4);
-  const BatchResult result = executor.Run(*exact, queries);
-  const BatchErrorSummary summary = BatchExecutor::Score(result, truths);
+  QueryScheduler scheduler(4);
+  const BatchResult result = RunBatch(scheduler, *exact, queries);
+  const BatchErrorSummary summary = ScoreBatch(result, truths);
   EXPECT_GT(summary.num_scored, 0u);
   EXPECT_DOUBLE_EQ(summary.median_rel_error, 0.0);
   EXPECT_DOUBLE_EQ(summary.p95_rel_error, 0.0);

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,7 +21,7 @@
 
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/engine_registry.h"
 #include "tests/test_util.h"
 
@@ -205,20 +206,20 @@ TEST(QueryScheduler, ConcurrentClientsOverShardFanOutNoDeadlock) {
   }
 }
 
-TEST(QueryScheduler, BatchExecutorIsAThinWrapper) {
+TEST(QueryScheduler, RunBatchMatchesDirectSubmissions) {
   const Dataset data = MakeIntelLike(6000, 78);
   const std::vector<Query> queries = MixedWorkload(data, 6, 59);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
 
-  const BatchExecutor executor(/*num_threads=*/3);
-  const BatchResult batch = executor.Run(*engine, queries);
+  QueryScheduler scheduler(/*num_threads=*/3);
+  const BatchResult batch = RunBatch(scheduler, *engine, queries);
   ASSERT_EQ(batch.answers.size(), queries.size());
-  EXPECT_EQ(executor.num_threads(), executor.scheduler().num_threads());
+  EXPECT_EQ(batch.num_threads, scheduler.num_threads());
 
-  // Direct scheduler submissions produce the exact same bits Run() did.
+  // Direct scheduler submissions produce the exact same bits RunBatch did.
   std::vector<std::future<ScheduledAnswer>> futures;
   for (const Query& q : queries) {
-    futures.push_back(executor.scheduler().Submit(*engine, q));
+    futures.push_back(scheduler.Submit(*engine, q));
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     ScheduledAnswer got = futures[i].get();
@@ -330,7 +331,6 @@ TEST(QueryScheduler, ExpiredQueuedAnytimeQueryAnswersFromBoundsAlone) {
   zero.budget.max_scan_units = 0;
   ExpectAnswersBitIdentical(result.answer, engine->Answer(q, zero));
   if (result.answer.partial_leaves > 0) {
-    EXPECT_TRUE(result.truncated);
     EXPECT_TRUE(result.answer.truncated);
   }
   ASSERT_TRUE(held.get().status.ok());
@@ -352,7 +352,7 @@ TEST(QueryScheduler, DispatchedAnytimeQueryGetsFiniteBudget) {
   EXPECT_GT(result.budget_total, 0u);
   EXPECT_LE(result.budget_used, result.budget_total);
   EXPECT_EQ(result.budget_used, result.answer.sample_rows_scanned);
-  EXPECT_FALSE(result.truncated);
+  EXPECT_FALSE(result.answer.truncated);
   // Ample budget: every planned unit ran, so the estimate matches the
   // unbudgeted path bit for bit.
   ExpectAnswersBitIdentical(result.answer, engine->Answer(q));
@@ -557,26 +557,85 @@ TEST(QueryScheduler, ShutdownUnblocksBackpressuredProducers) {
   EXPECT_EQ(second.get().status.code(), StatusCode::kUnavailable);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool shutdown contract (the layer underneath)
-// ---------------------------------------------------------------------------
+/// The pool is the scheduler's only admission gate: four producers race a
+/// bounded (max_in_flight = 2) scheduler while another thread shuts it
+/// down. Every submission resolves exactly once — Ok with the synchronous
+/// answer, or kUnavailable — nothing stays in flight, and every producer
+/// (some blocked on backpressure when Shutdown begins) gets a rejection.
+TEST(QueryScheduler, ProducersRacingShutdownOnABoundedGateLoseNothing) {
+  const Dataset data = MakeUniform(2000, /*seed=*/13, 1.0, 2.0);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "uniform");
+  const Query q = MakeRangeQuery(AggregateType::kSum, 1.1, 1.9);
+  const QueryAnswer want = engine->Answer(q);
+  SchedulerOptions options;
+  options.num_threads = 2;
+  options.max_in_flight = 2;
+  QueryScheduler scheduler(options);
+
+  constexpr size_t kProducers = 4;
+  std::vector<std::vector<std::future<ScheduledAnswer>>> futures(kProducers);
+  std::atomic<size_t> submitted{0};
+  std::atomic<bool> shut{false};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      // Submit until Shutdown has returned, then once more: that last
+      // submission must be rejected.
+      bool last = false;
+      while (!last) {
+        last = shut.load();
+        futures[p].push_back(scheduler.Submit(*engine, q));
+        ++submitted;
+      }
+    });
+  }
+  std::thread stopper([&] {
+    while (submitted.load() < 64) std::this_thread::yield();
+    scheduler.Shutdown();
+    shut = true;
+  });
+  for (std::thread& t : producers) t.join();
+  stopper.join();
+
+  size_t ok = 0;
+  size_t unavailable = 0;
+  for (auto& mine : futures) {
+    for (auto& f : mine) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      const ScheduledAnswer got = f.get();
+      if (got.status.ok()) {
+        ++ok;
+        ExpectAnswersBitIdentical(got.answer, want);
+      } else {
+        ++unavailable;
+        EXPECT_EQ(got.status.code(), StatusCode::kUnavailable);
+      }
+    }
+  }
+  EXPECT_EQ(ok + unavailable, submitted.load());
+  EXPECT_GE(ok, 1u);
+  EXPECT_GE(unavailable, kProducers);
+  EXPECT_EQ(scheduler.InFlight(), 0u);
+}
 
 // ---------------------------------------------------------------------------
-// Progressive answering (AnswerUntil) and admission control
+// Progressive answering (SubmitOptions::until) and admission control
 // ---------------------------------------------------------------------------
 
 /// Streams refinements through the callback until the target CI width is
 /// reached: intermediates carry is_final = false with strictly growing
 /// spend, the final answer satisfies the stopping condition, and it is
 /// bit-identical to a fresh budgeted run at the same cumulative budget.
-TEST(QueryScheduler, AnswerUntilReachesTargetWidthStreamingIntermediates) {
+TEST(QueryScheduler, UntilReachesTargetWidthStreamingIntermediates) {
   const Dataset data = MakeIntelLike(12000, 53);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
   const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(),
                                   0, 2500.0, 11321.0);
   // Any width the full evaluation achieves is a feasible target.
   const QueryAnswer full = engine->Answer(q);
-  StoppingCondition condition;
+  SubmitOptions options;
+  StoppingCondition& condition = options.until.emplace();
   condition.confidence = 0.99;
   condition.target_ci_width = full.estimate.HalfWidth(2.576) * 1.25;
   ASSERT_GT(condition.target_ci_width, 0.0);
@@ -587,15 +646,14 @@ TEST(QueryScheduler, AnswerUntilReachesTargetWidthStreamingIntermediates) {
   std::vector<ScheduledAnswer> stream;
   std::condition_variable cv;
   bool finished = false;
-  scheduler.AnswerUntil(*engine, q, condition, {},
-                        [&](ScheduledAnswer answer) {
-                          std::lock_guard<std::mutex> lock(mu);
-                          stream.push_back(std::move(answer));
-                          if (stream.back().is_final) {
-                            finished = true;
-                            cv.notify_all();
-                          }
-                        });
+  scheduler.Submit(*engine, q, options, [&](ScheduledAnswer answer) {
+    std::lock_guard<std::mutex> lock(mu);
+    stream.push_back(std::move(answer));
+    if (stream.back().is_final) {
+      finished = true;
+      cv.notify_all();
+    }
+  });
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return finished; });
@@ -622,17 +680,18 @@ TEST(QueryScheduler, AnswerUntilReachesTargetWidthStreamingIntermediates) {
 
 /// A zero target width is never satisfied by refinement: the session
 /// refines to exhaustion and the final answer is the full-evidence one.
-TEST(QueryScheduler, AnswerUntilZeroTargetRefinesToExhaustion) {
+TEST(QueryScheduler, UntilZeroTargetRefinesToExhaustion) {
   const Dataset data = MakeIntelLike(8000, 59);
   const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
   const Query q = RangeQueryOnDim(AggregateType::kAvg, data.NumPredDims(),
                                   0, 3137.0, 9421.0);
   QueryScheduler scheduler(/*num_threads=*/1);
-  const ScheduledAnswer result =
-      scheduler.AnswerUntil(*engine, q, StoppingCondition{}).get();
+  SubmitOptions options;
+  options.until = StoppingCondition{};
+  const ScheduledAnswer result = scheduler.Submit(*engine, q, options).get();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.is_final);
-  EXPECT_FALSE(result.truncated);
+  EXPECT_FALSE(result.answer.truncated);
   EXPECT_EQ(result.budget_used, result.answer.sample_rows_scanned);
   // Progressive answers come from the fused session, so the reference is
   // the fused AVG (the rule-OFF frontier), not the single-aggregate path.
@@ -645,17 +704,17 @@ TEST(QueryScheduler, AnswerUntilZeroTargetRefinesToExhaustion) {
 
 /// Systems without a resumable path — and aggregates outside the fused
 /// SUM/COUNT/AVG set — answer once, in full, exactly as without `until`.
-TEST(QueryScheduler, AnswerUntilWithoutAResumablePathAnswersOnceInFull) {
+TEST(QueryScheduler, UntilWithoutAResumablePathAnswersOnceInFull) {
   const Dataset data = MakeIntelLike(6000, 61);
   QueryScheduler scheduler(/*num_threads=*/1);
-  StoppingCondition condition;
-  condition.target_ci_width = 1.0;
+  SubmitOptions options;
+  options.until.emplace().target_ci_width = 1.0;
 
   const std::unique_ptr<AqpSystem> uniform = MakeEngine(data, "uniform");
   const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(),
                                   0, 3137.0, 9421.0);
   const ScheduledAnswer on_uniform =
-      scheduler.AnswerUntil(*uniform, q, condition).get();
+      scheduler.Submit(*uniform, q, options).get();
   ASSERT_TRUE(on_uniform.status.ok());
   EXPECT_TRUE(on_uniform.is_final);
   EXPECT_EQ(on_uniform.refinements, 0u);
@@ -665,10 +724,62 @@ TEST(QueryScheduler, AnswerUntilWithoutAResumablePathAnswersOnceInFull) {
   const Query extrema = RangeQueryOnDim(
       AggregateType::kMin, data.NumPredDims(), 0, 3137.0, 9421.0);
   const ScheduledAnswer on_min =
-      scheduler.AnswerUntil(*pass, extrema, condition).get();
+      scheduler.Submit(*pass, extrema, options).get();
   ASSERT_TRUE(on_min.status.ok());
   EXPECT_EQ(on_min.refinements, 0u);
   ExpectAnswersBitIdentical(on_min.answer, pass->Answer(extrema));
+}
+
+/// A stopping condition outside its domain is rejected at Submit rather
+/// than "met" by the zero-budget answer: LambdaForConfidence maps
+/// confidence 0 to a zero multiplier and negative levels to a negative
+/// one, so every half-width used to satisfy the target and the submission
+/// stopped at the bounds-only estimate, reporting success.
+TEST(QueryScheduler, UntilRejectsAConditionOutsideItsDomain) {
+  const Dataset data = MakeIntelLike(8000, 59);
+  const std::unique_ptr<AqpSystem> engine = MakeEngine(data, "pass");
+  const Query q = RangeQueryOnDim(AggregateType::kSum, data.NumPredDims(),
+                                  0, 3137.0, 9421.0);
+  QueryScheduler scheduler(/*num_threads=*/1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto submit = [&](double confidence, double width) {
+    SubmitOptions options;
+    options.until.emplace().confidence = confidence;
+    options.until->target_ci_width = width;
+    return scheduler.Submit(*engine, q, options).get();
+  };
+  for (const double confidence : {0.0, -0.5, 1.0, 1.5, nan, inf, -inf}) {
+    const ScheduledAnswer got = submit(confidence, 1.0);
+    EXPECT_EQ(got.status.code(), StatusCode::kInvalidArgument)
+        << "confidence " << confidence;
+    EXPECT_EQ(got.run_ms, 0.0);  // never ran
+  }
+  for (const double width : {-1.0, nan}) {
+    EXPECT_EQ(submit(0.99, width).status.code(),
+              StatusCode::kInvalidArgument)
+        << "target_ci_width " << width;
+  }
+
+  // The callback overload is told on the submitting thread.
+  SubmitOptions zero;
+  zero.until.emplace().confidence = 0.0;
+  std::thread::id told_on;
+  scheduler.Submit(*engine, q, zero, [&](ScheduledAnswer answer) {
+    EXPECT_EQ(answer.status.code(), StatusCode::kInvalidArgument);
+    told_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(told_on, std::this_thread::get_id());
+
+  // In-domain conditions still run: 0.5 refines like 0.99 does, and an
+  // infinite target width is met by the first (zero-budget) look.
+  const ScheduledAnswer half = submit(0.5, 0.0);
+  ASSERT_TRUE(half.status.ok()) << half.status.ToString();
+  EXPECT_FALSE(half.answer.truncated);
+  const ScheduledAnswer loose = submit(0.99, inf);
+  ASSERT_TRUE(loose.status.ok()) << loose.status.ToString();
+  EXPECT_EQ(loose.refinements, 0u);
+  EXPECT_EQ(loose.budget_used, 0u);
 }
 
 /// kRejectInfeasible sheds a budget-capable query only when even the
@@ -710,13 +821,17 @@ TEST(QueryScheduler, RejectInfeasibleShedsOnlyHopelessDeadlines) {
   ExpectAnswersBitIdentical(served.answer, engine->Answer(q));
 }
 
+// ---------------------------------------------------------------------------
+// ThreadPool shutdown contract (the layer underneath)
+// ---------------------------------------------------------------------------
+
 TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   ThreadPool pool(2);
   for (int i = 0; i < 64; ++i) pool.Submit([&ran] { ++ran; });
   pool.Shutdown();
   EXPECT_EQ(ran.load(), 64);
-  EXPECT_TRUE(pool.IsShutdown());
+  EXPECT_EQ(pool.InFlight(), 0u);
   pool.Shutdown();  // idempotent
 }
 
@@ -724,15 +839,11 @@ TEST(ThreadPool, SubmitAfterShutdownIsADefinedError) {
   ThreadPool pool(2);
   pool.Shutdown();
   std::atomic<bool> ran{false};
-#ifdef NDEBUG
-  // Release: rejected task, returns false, never runs.
+  // The same defined rejection in every build: false, and never run.
   EXPECT_FALSE(pool.Submit([&ran] { ran = true; }));
+  pool.Wait();
   EXPECT_FALSE(ran.load());
-#else
-  // Debug: loud assert instead of silent rejection.
-  EXPECT_DEATH(pool.Submit([&ran] { ran = true; }),
-               "Submit after Shutdown");
-#endif
+  EXPECT_EQ(pool.InFlight(), 0u);
 }
 
 }  // namespace

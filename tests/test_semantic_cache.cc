@@ -374,7 +374,7 @@ TEST(SemanticCache, ConcurrentReadersSeeBitIdenticalAnswers) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler integration: ScheduledAnswer carries the cache snapshot
+// Scheduler integration: the cache's own counters see scheduled queries
 // ---------------------------------------------------------------------------
 
 TEST(SemanticCache, SchedulerReportsCacheCounters) {
@@ -383,27 +383,29 @@ TEST(SemanticCache, SchedulerReportsCacheCounters) {
   const auto bare = MustCreate("pass", data, config);
   config.cache.enabled = true;
   const auto cached = MustCreate("pass", data, config);
+  EXPECT_EQ(bare->AnswerCache(), nullptr);
+  const SemanticAnswerCache* cache = cached->AnswerCache();
+  ASSERT_NE(cache, nullptr);
 
   QueryScheduler scheduler(/*num_threads=*/2);
   const Query q = RangeQueryOnDim(AggregateType::kSum, 1, 0, 3000.0, 17000.0);
 
   ScheduledAnswer plain = scheduler.Submit(*bare, q).get();
   ASSERT_TRUE(plain.status.ok());
-  EXPECT_FALSE(plain.cache_enabled);
 
   ScheduledAnswer cold = scheduler.Submit(*cached, q).get();
   ASSERT_TRUE(cold.status.ok());
-  EXPECT_TRUE(cold.cache_enabled);
-  EXPECT_EQ(cold.cache.exact_misses, 1u);
-  EXPECT_EQ(cold.cache.exact_hits, 0u);
+  const CacheStats after_cold = cache->Stats();
+  EXPECT_EQ(after_cold.exact_misses, 1u);
+  EXPECT_EQ(after_cold.exact_hits, 0u);
 
   ScheduledAnswer warm = scheduler.Submit(*cached, q).get();
   ASSERT_TRUE(warm.status.ok());
-  EXPECT_TRUE(warm.cache_enabled);
-  // Counters are cumulative snapshots; the warm submission's delta over
-  // the cold one is exactly one hit.
-  EXPECT_EQ(warm.cache.exact_hits - cold.cache.exact_hits, 1u);
-  EXPECT_EQ(warm.cache.exact_misses, cold.cache.exact_misses);
+  // Counters are cumulative; the warm submission's delta over the cold
+  // one is exactly one hit.
+  const CacheStats after_warm = cache->Stats();
+  EXPECT_EQ(after_warm.exact_hits - after_cold.exact_hits, 1u);
+  EXPECT_EQ(after_warm.exact_misses, after_cold.exact_misses);
   ExpectAnswersBitIdentical(warm.answer, cold.answer);
 }
 

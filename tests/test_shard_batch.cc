@@ -1,9 +1,9 @@
 /// Regression for the sharded serving path: answers for sharded engines
 /// must stay bit-for-bit identical no matter how the work is scheduled —
-/// sequential vs. multi-threaded BatchExecutor pools, and sequential vs.
-/// parallel per-shard fan-out inside the engine. Index-addressed results
-/// plus deterministic merges make every combination equal; this test
-/// pins that.
+/// RunBatch on sequential vs. multi-threaded QueryScheduler pools, and
+/// sequential vs. parallel per-shard fan-out inside the engine.
+/// Index-addressed results plus deterministic merges make every
+/// combination equal; this test pins that.
 
 #include <memory>
 #include <vector>
@@ -12,7 +12,7 @@
 
 #include "data/generators.h"
 #include "data/workload.h"
-#include "engine/batch_executor.h"
+#include "engine/batch.h"
 #include "engine/engine_registry.h"
 #include "tests/test_util.h"
 
@@ -52,13 +52,13 @@ std::vector<Query> Workload(const Dataset& data) {
 TEST(ShardedBatch, SequentialAndParallelPoolsAnswerIdentically) {
   const Dataset data = MakeIntelLike(12000, 110);
   const std::vector<Query> queries = Workload(data);
-  const BatchExecutor sequential(1);
-  const BatchExecutor parallel(4);
+  QueryScheduler sequential(1);
+  QueryScheduler parallel(4);
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     const std::unique_ptr<AqpSystem> engine =
         MakeSharded(data, shards, /*parallel=*/true);
-    const BatchResult seq = sequential.Run(*engine, queries);
-    const BatchResult par = parallel.Run(*engine, queries);
+    const BatchResult seq = RunBatch(sequential, *engine, queries);
+    const BatchResult par = RunBatch(parallel, *engine, queries);
     ASSERT_EQ(seq.answers.size(), queries.size());
     ASSERT_EQ(par.answers.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -72,15 +72,15 @@ TEST(ShardedBatch, SequentialAndParallelPoolsAnswerIdentically) {
 TEST(ShardedBatch, ShardFanOutMatchesSequentialShardLoop) {
   const Dataset data = MakeIntelLike(12000, 111);
   const std::vector<Query> queries = Workload(data);
-  const BatchExecutor executor(4);
+  QueryScheduler scheduler(4);
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     // Same deterministic build, two scheduling modes for per-shard work.
     const std::unique_ptr<AqpSystem> fanout =
         MakeSharded(data, shards, /*parallel=*/true);
     const std::unique_ptr<AqpSystem> serial =
         MakeSharded(data, shards, /*parallel=*/false);
-    const BatchResult a = executor.Run(*fanout, queries);
-    const BatchResult b = executor.Run(*serial, queries);
+    const BatchResult a = RunBatch(scheduler, *fanout, queries);
+    const BatchResult b = RunBatch(scheduler, *serial, queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("K=" + std::to_string(shards) + " query " +
                    std::to_string(i) + ": " + queries[i].ToString());
@@ -102,10 +102,10 @@ TEST(ShardedBatch, EnsembleIsDeterministicAcrossPools) {
   wl.template_dims = {0, 1};
   wl.seed = 113;
   const std::vector<Query> queries = RandomRangeQueries(data, wl);
-  const BatchExecutor sequential(1);
-  const BatchExecutor parallel(4);
-  const BatchResult seq = sequential.Run(**engine, queries);
-  const BatchResult par = parallel.Run(**engine, queries);
+  QueryScheduler sequential(1);
+  QueryScheduler parallel(4);
+  const BatchResult seq = RunBatch(sequential, **engine, queries);
+  const BatchResult par = RunBatch(parallel, **engine, queries);
   for (size_t i = 0; i < queries.size(); ++i) {
     ExpectAnswersBitIdentical(seq.answers[i], par.answers[i]);
   }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/semantic_answer_cache.h"
 #include "common/rng.h"
 #include "core/exact.h"
 #include "data/generators.h"
